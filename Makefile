@@ -35,10 +35,11 @@ bench-allocs:
 bench-nsinstr:
 	sh scripts/bench_nsinstr.sh
 
-# Regenerate the machine-readable benchmark trajectory document for
-# this PR (override PR= to change the filename suffix).
-PR ?= 8
+# Regenerate the machine-readable benchmark trajectory document:
+# `make bench-json PR=<n>` writes BENCH_<n>.json. PR has no default, so
+# a forgotten PR= fails instead of overwriting an older file.
 bench-json:
+	@test -n "$(PR)" || { echo "bench-json: set PR, e.g. make bench-json PR=12" >&2; exit 1; }
 	go run ./cmd/zbench -out BENCH_$(PR).json
 
 exp:

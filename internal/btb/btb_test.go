@@ -204,9 +204,40 @@ func TestResetAndOccupancy(t *testing.T) {
 	if tb.Occupancy() != 100 {
 		t.Errorf("occupancy = %d", tb.Occupancy())
 	}
-	tb.Reset()
+	tb.Reset(testGeo)
 	if tb.Occupancy() != 0 || tb.Stats().Installs != 0 {
 		t.Error("Reset incomplete")
+	}
+}
+
+// TestResetAcrossGeometries: a table reset down to a smaller geometry
+// and back re-slices the storage it owns (no new columns) and then
+// behaves exactly like a table built fresh for each geometry.
+func TestResetAcrossGeometries(t *testing.T) {
+	small := Geometry{RowBits: 4, Ways: 2, TagBits: 10, LineShift: 5}
+	tb := New(testGeo)
+	first := &tb.info[0]
+	for _, geo := range []Geometry{small, testGeo, small} {
+		for i := 0; i < 50; i++ {
+			tb.Install(info(zarch.Addr(0x20000 + i*0x40)))
+		}
+		tb.SetObserver(func(Event) { t.Error("observer survived Reset") })
+		tb.Reset(geo)
+		if &tb.info[0] != first {
+			t.Fatalf("Reset(%+v) reallocated a column that had the capacity", geo)
+		}
+		fresh := New(geo)
+		for i := 0; i < 200; i++ {
+			a := zarch.Addr(0x10000 + i*0x36)
+			gv, ge := tb.Install(info(a))
+			wv, we := fresh.Install(info(a))
+			if gv != wv || ge != we {
+				t.Fatalf("geometry %+v install %d: reset table evicted %v/%v, fresh %v/%v", geo, i, gv, ge, wv, we)
+			}
+		}
+		if tb.Stats() != fresh.Stats() || tb.Occupancy() != fresh.Occupancy() {
+			t.Errorf("geometry %+v: reset table stats %+v, fresh %+v", geo, tb.Stats(), fresh.Stats())
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package btb
 
-import "zbp/internal/zarch"
+import (
+	"zbp/internal/reuse"
+	"zbp/internal/zarch"
+)
 
 // Preload is the BTBP, the preload/filter/victim buffer used before
 // z15 (paper §III): all BTB2 hit transfers were written here first,
@@ -35,10 +38,18 @@ type PreloadStats struct {
 
 // NewPreload returns a BTBP with the given capacity.
 func NewPreload(capacity int) *Preload {
+	p := new(Preload)
+	p.Reset(capacity)
+	return p
+}
+
+// Reset empties the buffer in place at the given capacity, reusing
+// its storage when it is large enough, and clears the counters.
+func (p *Preload) Reset(capacity int) {
 	if capacity <= 0 {
 		panic("btb: BTBP capacity must be positive")
 	}
-	return &Preload{entries: make([]pentry, capacity)}
+	*p = Preload{entries: reuse.Slice(p.entries, capacity), searchBuf: p.searchBuf[:0]}
 }
 
 // Stats returns a copy of the counters.
@@ -150,10 +161,18 @@ type Stage struct {
 
 // NewStage returns a staging queue with the given capacity.
 func NewStage(capacity int) *Stage {
+	s := new(Stage)
+	s.Reset(capacity)
+	return s
+}
+
+// Reset empties the queue in place at the given capacity, keeping its
+// buffer, and clears the drop and peak counters.
+func (s *Stage) Reset(capacity int) {
 	if capacity <= 0 {
 		panic("btb: stage capacity must be positive")
 	}
-	return &Stage{capacity: capacity}
+	*s = Stage{buf: s.buf[:0], capacity: capacity}
 }
 
 // Push enqueues info, dropping it (and counting the drop) when full.

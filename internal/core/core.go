@@ -6,6 +6,7 @@ import (
 	"zbp/internal/dirpred"
 	"zbp/internal/history"
 	"zbp/internal/metrics"
+	"zbp/internal/reuse"
 	"zbp/internal/tgt"
 	"zbp/internal/zarch"
 )
@@ -191,6 +192,19 @@ type Core struct {
 	// surpriseHook, when set, observes every completed surprise and
 	// whether its install was queued (write-side monitor, §VII).
 	surpriseHook func(s Surprise, queued bool)
+
+	// own is the storage behind the structure pointers above. A
+	// structure the config disables (BTB2, BTBP) keeps its storage here
+	// behind a nil pointer, so a later Reset that enables it again
+	// re-slices instead of allocating.
+	own struct {
+		btb1, btb2 btb.Table
+		btbp       btb.Preload
+		stage      btb.Stage
+		dir        dirpred.Unit
+		tgt        tgt.Unit
+		cpred      cpred.CPRED
+	}
 }
 
 // SetPredictHook registers an observer of every generated prediction.
@@ -214,34 +228,57 @@ func (c *Core) ObserveBTB2(fn func(btb.Event)) {
 	}
 }
 
-// New builds a predictor for cfg.
+// New builds a predictor for cfg: the zero value plus Reset, so a
+// fresh core and a reset one run the same code.
 func New(cfg Config) *Core {
+	c := new(Core)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset returns the predictor to its just-built state for cfg, in
+// place. Every table is re-sliced from the storage the core already
+// owns and cleared (allocating only where cfg needs more room than it
+// has ever held); the clock, sequence numbers, queues, statistics and
+// all hooks and observers are cleared with it.
+func (c *Core) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Core{
-		cfg:   cfg,
-		btb1:  btb.New(cfg.BTB1),
-		dir:   dirpred.New(cfg.Dir),
-		tgt:   tgt.New(cfg.Tgt),
-		cpred: cpred.New(cfg.CPred),
-		stage: btb.NewStage(cfg.StageCap),
+	var predQ [MaxThreads][]Prediction
+	for t := range c.threads {
+		predQ[t] = c.threads[t].predQ
 	}
+	*c = Core{
+		cfg:           cfg,
+		writeQ:        reuse.Slice(c.writeQ, cfg.WriteQueueCap)[:0],
+		surpriseTimes: c.surpriseTimes[:0],
+		mergedBuf:     c.mergedBuf[:0],
+		own:           c.own,
+	}
+	o := &c.own
+	o.btb1.Reset(cfg.BTB1)
+	o.dir.Reset(cfg.Dir)
+	o.tgt.Reset(cfg.Tgt)
+	o.cpred.Reset(cfg.CPred)
+	o.stage.Reset(cfg.StageCap)
+	c.btb1, c.dir, c.tgt, c.cpred, c.stage = &o.btb1, &o.dir, &o.tgt, &o.cpred, &o.stage
 	if cfg.BTB2Enabled {
-		c.btb2 = btb.New(cfg.BTB2)
+		o.btb2.Reset(cfg.BTB2)
+		c.btb2 = &o.btb2
 	}
 	if cfg.BTBPEntries > 0 {
-		c.btbp = btb.NewPreload(cfg.BTBPEntries)
+		o.btbp.Reset(cfg.BTBPEntries)
+		c.btbp = &o.btbp
 	}
 	for t := range c.threads {
-		c.threads[t].gpvSpec = history.New(cfg.GPVDepth)
-		c.threads[t].gpvArch = history.New(cfg.GPVDepth)
-		c.threads[t].firstHitSearch = -1
-		c.threads[t].predQ = make([]Prediction, 0, cfg.PredQueueCap)
+		th := &c.threads[t]
+		th.gpvSpec.Reset(cfg.GPVDepth)
+		th.gpvArch.Reset(cfg.GPVDepth)
+		th.firstHitSearch = -1
+		th.predQ = reuse.Slice(predQ[t], cfg.PredQueueCap)[:0]
 	}
-	c.writeQ = make([]btb.Info, 0, cfg.WriteQueueCap)
 	c.stats.StreamSearchHist = NewStreamSearchHist()
-	return c
 }
 
 // RegisterMetrics registers the whole predictor tree's live counters:

@@ -19,6 +19,7 @@ package cpred
 import (
 	"zbp/internal/hashx"
 	"zbp/internal/metrics"
+	"zbp/internal/reuse"
 	"zbp/internal/zarch"
 )
 
@@ -104,17 +105,22 @@ type CPRED struct {
 
 // New returns a CPRED; a zero-entry config yields a disabled predictor.
 func New(cfg Config) *CPRED {
-	c := &CPRED{cfg: cfg}
-	if cfg.Entries > 0 {
-		if cfg.Entries&(cfg.Entries-1) != 0 {
-			panic("cpred: Entries must be a power of two")
-		}
-		c.entries = make([]entry, cfg.Entries)
-		for cfg.Entries>>c.idxBits > 1 {
-			c.idxBits++
-		}
-	}
+	c := new(CPRED)
+	c.Reset(cfg)
 	return c
+}
+
+// Reset empties the predictor in place for cfg, reusing its storage
+// when it is large enough, and clears the statistics. A disabled
+// predictor keeps its storage at length zero.
+func (c *CPRED) Reset(cfg Config) {
+	if cfg.Entries > 0 && cfg.Entries&(cfg.Entries-1) != 0 {
+		panic("cpred: Entries must be a power of two")
+	}
+	*c = CPRED{cfg: cfg, entries: reuse.Slice(c.entries, max(cfg.Entries, 0))}
+	for cfg.Entries>>c.idxBits > 1 {
+		c.idxBits++
+	}
 }
 
 // Enabled reports whether the predictor is present.

@@ -2,6 +2,7 @@ package dirpred
 
 import (
 	"zbp/internal/history"
+	"zbp/internal/reuse"
 	"zbp/internal/sat"
 	"zbp/internal/zarch"
 )
@@ -18,8 +19,13 @@ import (
 // counter that must exceed a global threshold before the perceptron
 // becomes the direction provider.
 type Perceptron struct {
-	cfg  PercConfig
-	rows [][]percEntry
+	cfg PercConfig
+	// entries is the table, row-major (index row*Ways+way). Every
+	// entry's weights and sel are fixed windows into the flat weights
+	// and sel columns, so installs rewrite them in place.
+	entries []percEntry
+	weights []sat.Weight
+	sel     []uint8
 }
 
 // PercConfig parameterizes the perceptron.
@@ -65,22 +71,37 @@ type percEntry struct {
 
 // NewPerceptron returns an empty perceptron table.
 func NewPerceptron(cfg PercConfig) *Perceptron {
-	if cfg.Weights <= 0 || cfg.Ways <= 0 || cfg.Virtual <= 0 {
-		panic("dirpred: invalid perceptron config")
-	}
-	p := &Perceptron{cfg: cfg}
-	p.rows = make([][]percEntry, 1<<cfg.RowBits)
-	for i := range p.rows {
-		p.rows[i] = make([]percEntry, cfg.Ways)
-	}
+	p := new(Perceptron)
+	p.Reset(cfg)
 	return p
 }
 
-// Entries returns total capacity (32 on z15).
-func (p *Perceptron) Entries() int { return len(p.rows) * p.cfg.Ways }
+// Reset empties the table in place for cfg, reusing its storage when
+// it is large enough.
+func (p *Perceptron) Reset(cfg PercConfig) {
+	if cfg.Weights <= 0 || cfg.Ways <= 0 || cfg.Virtual <= 0 {
+		panic("dirpred: invalid perceptron config")
+	}
+	n := cfg.Ways << cfg.RowBits
+	*p = Perceptron{
+		cfg:     cfg,
+		entries: reuse.Slice(p.entries, n),
+		weights: reuse.Slice(p.weights, n*cfg.Weights),
+		sel:     reuse.Slice(p.sel, n*cfg.Weights),
+	}
+	for i := range p.entries {
+		lo, hi := i*cfg.Weights, (i+1)*cfg.Weights
+		p.entries[i].weights = p.weights[lo:hi:hi]
+		p.entries[i].sel = p.sel[lo:hi:hi]
+	}
+}
 
-func (p *Perceptron) row(addr zarch.Addr) int {
-	return int(uint64(addr) >> 1 & uint64(len(p.rows)-1))
+// Entries returns total capacity (32 on z15).
+func (p *Perceptron) Entries() int { return len(p.entries) }
+
+func (p *Perceptron) row(addr zarch.Addr) []percEntry {
+	r := int(uint64(addr) >> 1 & (1<<p.cfg.RowBits - 1))
+	return p.entries[r*p.cfg.Ways : (r+1)*p.cfg.Ways]
 }
 
 func (p *Perceptron) tag(addr zarch.Addr) uint64 {
@@ -88,7 +109,7 @@ func (p *Perceptron) tag(addr zarch.Addr) uint64 {
 }
 
 func (p *Perceptron) find(addr zarch.Addr) *percEntry {
-	row := p.rows[p.row(addr)]
+	row := p.row(addr)
 	tag := p.tag(addr)
 	for w := range row {
 		if row[w].valid && row[w].tag == tag {
@@ -189,11 +210,11 @@ func (p *Perceptron) TryInstall(addr zarch.Addr) bool {
 	if p.find(addr) != nil {
 		return false
 	}
-	row := p.rows[p.row(addr)]
+	row := p.row(addr)
 	// Free way first.
 	for w := range row {
 		if !row[w].valid {
-			row[w] = p.fresh(addr)
+			p.renew(&row[w], addr)
 			return true
 		}
 	}
@@ -211,16 +232,20 @@ func (p *Perceptron) TryInstall(addr zarch.Addr) bool {
 	if victim == -1 {
 		return false
 	}
-	row[victim] = p.fresh(addr)
+	p.renew(&row[victim], addr)
 	return true
 }
 
-func (p *Perceptron) fresh(addr zarch.Addr) percEntry {
-	return percEntry{
+// renew rewrites e as a freshly installed entry for addr, zeroing its
+// weights and virtualization selects in place.
+func (p *Perceptron) renew(e *percEntry, addr zarch.Addr) {
+	clear(e.weights)
+	clear(e.sel)
+	*e = percEntry{
 		valid:      true,
 		tag:        p.tag(addr),
-		weights:    make([]sat.Weight, p.cfg.Weights),
-		sel:        make([]uint8, p.cfg.Weights),
+		weights:    e.weights,
+		sel:        e.sel,
 		useful:     sat.NewU(0, p.cfg.UsefulMax),
 		protection: sat.NewU(p.cfg.Protection, p.cfg.Protection),
 	}

@@ -11,6 +11,7 @@ package dirpred
 
 import (
 	"zbp/internal/history"
+	"zbp/internal/reuse"
 	"zbp/internal/sat"
 	"zbp/internal/zarch"
 )
@@ -59,22 +60,24 @@ type phtEntry struct {
 }
 
 // phtTable is one TAGE table: rows x ways (ways mirror the BTB1 ways,
-// "512 rows deep per BTB1 way", §V).
+// "512 rows deep per BTB1 way", §V), held as one flat slice indexed
+// way<<rowBits + row.
 type phtTable struct {
 	rowBits uint
 	tagBits uint
 	hist    int // GPV branches folded into index/tag
-	ways    [][]phtEntry
+	ways    int
+	entries []phtEntry
 	umax    uint8
 }
 
-func newPHTTable(rowBits uint, ways int, tagBits uint, hist int, umax uint8) *phtTable {
-	t := &phtTable{rowBits: rowBits, tagBits: tagBits, hist: hist, umax: umax}
-	t.ways = make([][]phtEntry, ways)
-	for w := range t.ways {
-		t.ways[w] = make([]phtEntry, 1<<rowBits)
+// reset empties the table in place at the given shape, reusing its
+// storage when it is large enough.
+func (t *phtTable) reset(rowBits uint, ways int, tagBits uint, hist int, umax uint8) {
+	*t = phtTable{
+		rowBits: rowBits, tagBits: tagBits, hist: hist, ways: ways, umax: umax,
+		entries: reuse.Slice(t.entries, ways<<rowBits),
 	}
-	return t
 }
 
 func (t *phtTable) index(addr zarch.Addr, g history.GPV) int {
@@ -87,10 +90,7 @@ func (t *phtTable) tag(addr zarch.Addr, g history.GPV) uint64 {
 
 // lookup returns the entry state for (addr, way, history).
 func (t *phtTable) lookup(addr zarch.Addr, way int, g history.GPV) (sat.Counter2, bool) {
-	if way < 0 || way >= len(t.ways) {
-		way = 0
-	}
-	e := &t.ways[way][t.index(addr, g)]
+	e := t.at(addr, way, g)
 	if e.valid && e.tag == t.tag(addr, g) {
 		return e.ctr, true
 	}
@@ -98,10 +98,10 @@ func (t *phtTable) lookup(addr zarch.Addr, way int, g history.GPV) (sat.Counter2
 }
 
 func (t *phtTable) at(addr zarch.Addr, way int, g history.GPV) *phtEntry {
-	if way < 0 || way >= len(t.ways) {
+	if way < 0 || way >= t.ways {
 		way = 0
 	}
-	return &t.ways[way][t.index(addr, g)]
+	return &t.entries[way<<t.rowBits+t.index(addr, g)]
 }
 
 // matches reports whether the entry still belongs to (addr, g); between

@@ -24,7 +24,15 @@ type specEntry struct {
 // NewSpecDir returns a tracker with the given capacity; capacity 0
 // yields a disabled tracker whose Lookup never hits.
 func NewSpecDir(capacity int) *SpecDir {
-	return &SpecDir{capacity: capacity}
+	s := new(SpecDir)
+	s.Reset(capacity)
+	return s
+}
+
+// Reset empties the tracker in place at the given capacity, keeping
+// its entry buffer.
+func (s *SpecDir) Reset(capacity int) {
+	*s = SpecDir{entries: s.entries[:0], capacity: capacity}
 }
 
 // Install records an assumed/corrected direction for addr, tagged with

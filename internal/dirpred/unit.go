@@ -93,11 +93,32 @@ type Unit struct {
 	weakOK sat.UCounter
 	rotor  int
 	stats  Stats
+
+	// own is the storage behind the pointers above. A predictor the
+	// config disables keeps its storage here behind a nil pointer, so
+	// a later Reset that enables it again re-slices instead of
+	// allocating.
+	own struct {
+		short, long phtTable
+		perc        Perceptron
+		sbht, spht  SpecDir
+	}
 }
 
 // New returns a direction unit for cfg.
 func New(cfg Config) *Unit {
-	u := &Unit{cfg: cfg, sbht: NewSpecDir(cfg.SpecEntries), spht: NewSpecDir(cfg.SpecEntries)}
+	u := new(Unit)
+	u.Reset(cfg)
+	return u
+}
+
+// Reset empties every predictor in place and reconfigures the unit
+// for cfg, clearing its statistics.
+func (u *Unit) Reset(cfg Config) {
+	*u = Unit{cfg: cfg, own: u.own}
+	u.own.sbht.Reset(cfg.SpecEntries)
+	u.own.spht.Reset(cfg.SpecEntries)
+	u.sbht, u.spht = &u.own.sbht, &u.own.spht
 	if cfg.PHTEnabled {
 		// Same total capacity either way: banked = rows x ways with the
 		// bank picked by the hitting BTB1 way; unified = one bank with
@@ -109,16 +130,18 @@ func New(cfg Config) *Unit {
 				ways >>= 1
 			}
 		}
-		u.short = newPHTTable(rowBits, ways, cfg.PHTTagBits, cfg.ShortHist, cfg.PHTUsefulMax)
+		u.own.short.reset(rowBits, ways, cfg.PHTTagBits, cfg.ShortHist, cfg.PHTUsefulMax)
+		u.short = &u.own.short
 		if cfg.TwoTables {
-			u.long = newPHTTable(rowBits, ways, cfg.PHTTagBits, cfg.LongHist, cfg.PHTUsefulMax)
+			u.own.long.reset(rowBits, ways, cfg.PHTTagBits, cfg.LongHist, cfg.PHTUsefulMax)
+			u.long = &u.own.long
 		}
 	}
 	if cfg.PerceptronEnabled {
-		u.perc = NewPerceptron(cfg.Perc)
+		u.own.perc.Reset(cfg.Perc)
+		u.perc = &u.own.perc
 	}
 	u.weakOK = sat.NewU(cfg.WeakThreshold, cfg.WeakMax)
-	return u
 }
 
 // Input is everything figure 8 consumes for one BTB1-hit branch.

@@ -5,7 +5,8 @@
 // through pairs of paths that must agree exactly — packed replay vs
 // streaming generation, fast vs instrumented cycle loop, pooled vs
 // direct execution, cancellable vs plain run loops, reset-reuse vs
-// fresh state, event-log reconstruction
+// fresh state (of a trace source and of a whole machine), event-log
+// reconstruction
 // vs counter aggregation — plus metamorphic invariants (capacity
 // monotonicity, prefix bounds, SMT2 aggregation sanity) that need not
 // be exact but bound how results may move.
@@ -72,7 +73,7 @@ type Check struct {
 	run  func(ctx context.Context, env *cellEnv, rep *verif.DiffReport) error
 }
 
-// Checks returns every registered check in execution order: the six
+// Checks returns every registered check in execution order: the seven
 // exact pairs first, then the metamorphic invariants.
 func Checks() []Check {
 	return []Check{
@@ -81,6 +82,7 @@ func Checks() []Check {
 		{"pool-1-vs-n", Exact, checkPool1VsN},
 		{"run-vs-runctx", Exact, checkRunVsRunCtx},
 		{"fresh-vs-reset", Exact, checkFreshVsReset},
+		{"fresh-vs-reused-machine", Exact, checkFreshVsReusedMachine},
 		{"event-replay", Exact, checkEventReplay},
 		{"btb1-monotonic", Invariant, checkBTB1Monotonic},
 		{"warmup-prefix", Invariant, checkWarmupPrefix},

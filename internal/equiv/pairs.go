@@ -2,10 +2,12 @@ package equiv
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
 	"zbp/internal/btb"
+	"zbp/internal/core"
 	"zbp/internal/metrics"
 	"zbp/internal/runner"
 	"zbp/internal/sat"
@@ -15,7 +17,7 @@ import (
 	"zbp/internal/workload"
 )
 
-// The five exact pairs. Each one re-executes the cell along a
+// The exact pairs. Each one re-executes the cell along a
 // transformed path and demands byte-identical stats JSON against the
 // canonical baseline (a plain packed-cursor RunCtx run). On a mismatch
 // the finding names the first diverging metric, so the report reads
@@ -247,6 +249,82 @@ func checkFreshVsReset(ctx context.Context, env *cellEnv, rep *verif.DiffReport)
 	// The reset source must agree with the packed baseline, which was
 	// materialized from a fresh generator: reset == fresh.
 	return env.compareExact(rep, "fresh-vs-reset", "generator Reset reuse", res)
+}
+
+// reuseDirtyInstructions and reuseDirtyCycles size the run that
+// dirties a machine before the fresh-vs-reused-machine pair resets it:
+// the run is truncated at reuseDirtyCycles, then continued under a
+// canceled context until the next cancellation poll (cycle 4096). The
+// budget is large enough that no trace can drain before that poll
+// even at full dispatch width.
+const (
+	reuseDirtyInstructions = 40000
+	reuseDirtyCycles       = 3000
+)
+
+// checkFreshVsReusedMachine runs the cell on one machine that is reset
+// in place after other work, and requires stats JSON byte-identical to
+// the fresh baseline. Before each of its two runs of the cell the
+// machine runs a different workload on a different generation with an
+// event sink attached: truncated by maxCycles, then continued under a
+// canceled context. The first prior is zEC12 on a new machine, so a
+// larger cell grows the tables; the second is z15, so a smaller cell
+// re-slices them down. Reset must also drop the sink and the
+// instrumented-loop pin.
+func checkFreshVsReusedMachine(ctx context.Context, env *cellEnv, rep *verif.DiffReport) error {
+	const check = "fresh-vs-reused-machine"
+	names := workload.Names()
+	otherName := names[0]
+	for i, n := range names {
+		if n == env.cell.Workload {
+			otherName = names[(i+1)%len(names)]
+		}
+	}
+	other, err := workload.MakePacked(otherName, env.cell.Seed+1, reuseDirtyInstructions)
+	if err != nil {
+		return err
+	}
+	m := new(sim.Sim)
+	for _, prior := range []string{"zEC12", "z15"} {
+		gen, err := core.ByName(prior)
+		if err != nil {
+			return err
+		}
+		cur := other.Cursor()
+		m.Reset(sim.ForGeneration(gen), []trace.Source{&cur})
+		sink := newCountSink()
+		m.SetEventSink(sink)
+		if res, err := m.RunCtx(ctx, reuseDirtyCycles); err != nil || !res.Truncated {
+			return fmt.Errorf("dirtying %s run of %s was not truncated (err %v)", prior, otherName, err)
+		}
+		canceled, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, err := m.RunCtx(canceled, 0); !errors.Is(err, context.Canceled) {
+			return fmt.Errorf("dirtying %s run of %s was not canceled (err %v)", prior, otherName, err)
+		}
+		seen := sink.predicts + sink.fills
+
+		cur = env.packed.Cursor()
+		m.Reset(env.cfg, []trace.Source{&cur})
+		if env.opts.Perturb {
+			perturbOne(m, env.packed)
+		}
+		res, err := m.RunCtx(ctx, 0)
+		if err != nil {
+			return err
+		}
+		path := fmt.Sprintf("machine reused after a truncated and canceled %s run of %s", prior, otherName)
+		if sink.predicts+sink.fills != seen {
+			rep.Addf(check, env.cell.Name(), "", "%s: the earlier run's event sink survived Reset", path)
+		}
+		if !res.FastCore {
+			rep.Addf(check, env.cell.Name(), "", "%s: the instrumented-loop pin survived Reset", path)
+		}
+		if err := env.compareExact(rep, check, path, res); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // histTotal sums a histogram's bucket counts (= observations).

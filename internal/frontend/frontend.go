@@ -181,12 +181,20 @@ type Thread struct {
 // NewThread builds a front end for thread id consuming src. ic may be
 // nil to disable I-cache modeling.
 func NewThread(cfg Config, id int, c *core.Core, ic *icache.Hierarchy, src trace.Source) *Thread {
-	t := &Thread{cfg: cfg, id: id, c: c, ic: ic, src: src}
-	if cur, ok := src.(*trace.Cursor); ok {
-		t.cur = cur
-	}
-	t.stats.RestartHist = NewRestartHist()
+	t := new(Thread)
+	t.Reset(cfg, id, c, ic, src)
 	return t
+}
+
+// Reset rewires the thread, in place, to consume src for core c and
+// hierarchy ic, returning it to its just-built state: statistics,
+// stream bookkeeping and hooks are cleared.
+func (f *Thread) Reset(cfg Config, id int, c *core.Core, ic *icache.Hierarchy, src trace.Source) {
+	*f = Thread{cfg: cfg, id: id, c: c, ic: ic, src: src}
+	if cur, ok := src.(*trace.Cursor); ok {
+		f.cur = cur
+	}
+	f.stats.RestartHist = NewRestartHist()
 }
 
 // Stats returns a copy of this thread's counters.

@@ -33,10 +33,18 @@ type GPV struct {
 // New returns an empty GPV tracking the given number of taken branches.
 // depth must be in [1, 32].
 func New(depth int) GPV {
+	var g GPV
+	g.Reset(depth)
+	return g
+}
+
+// Reset empties the history in place and sets its depth, which must
+// be in [1, 32].
+func (g *GPV) Reset(depth int) {
 	if depth < 1 || depth > 32 {
 		panic("history: GPV depth out of range")
 	}
-	return GPV{depth: depth}
+	*g = GPV{depth: depth}
 }
 
 // Depth returns the number of taken branches tracked.

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"zbp/internal/metrics"
+	"zbp/internal/reuse"
 	"zbp/internal/zarch"
 )
 
@@ -96,15 +97,19 @@ func (s *Stats) Register(r *metrics.Registry, prefix string) {
 	r.Hist(prefix+".demand_wait", &s.WaitHist)
 }
 
+// level is one set-associative cache level, held as flat
+// structure-of-arrays columns indexed row*ways+way.
 type level struct {
 	rows     int
 	ways     int
 	lineBits uint
-	tags     [][]uint64 // tag 0 = invalid (tags stored +1)
-	stamps   [][]int64
+	tags     []uint64 // tag 0 = invalid (tags stored +1)
+	stamps   []int64
 }
 
-func newLevel(bytes, ways, lineBytes int) *level {
+// reset empties the level in place for the given shape, reusing its
+// columns when they are large enough.
+func (l *level) reset(bytes, ways, lineBytes int) {
 	rows := bytes / lineBytes / ways
 	if rows <= 0 || rows&(rows-1) != 0 {
 		panic(fmt.Sprintf("icache: rows %d not a power of two", rows))
@@ -113,27 +118,25 @@ func newLevel(bytes, ways, lineBytes int) *level {
 	for 1<<lb < lineBytes {
 		lb++
 	}
-	l := &level{rows: rows, ways: ways, lineBits: lb}
-	l.tags = make([][]uint64, rows)
-	l.stamps = make([][]int64, rows)
-	for i := range l.tags {
-		l.tags[i] = make([]uint64, ways)
-		l.stamps[i] = make([]int64, ways)
+	*l = level{
+		rows: rows, ways: ways, lineBits: lb,
+		tags:   reuse.Slice(l.tags, rows*ways),
+		stamps: reuse.Slice(l.stamps, rows*ways),
 	}
-	return l
 }
 
+// rowTag returns the flat index of line's row base and its tag.
 func (l *level) rowTag(line zarch.Addr) (int, uint64) {
 	n := uint64(line) >> l.lineBits
 	// Full-precision tags (+1 so 0 means invalid): caches do not alias.
-	return int(n & uint64(l.rows-1)), n + 1
+	return int(n&uint64(l.rows-1)) * l.ways, n + 1
 }
 
 func (l *level) lookup(line zarch.Addr, now int64) bool {
-	row, tag := l.rowTag(line)
-	for w := 0; w < l.ways; w++ {
-		if l.tags[row][w] == tag {
-			l.stamps[row][w] = now
+	base, tag := l.rowTag(line)
+	for i := base; i < base+l.ways; i++ {
+		if l.tags[i] == tag {
+			l.stamps[i] = now
 			return true
 		}
 	}
@@ -141,30 +144,30 @@ func (l *level) lookup(line zarch.Addr, now int64) bool {
 }
 
 func (l *level) fill(line zarch.Addr, now int64) {
-	row, tag := l.rowTag(line)
-	lru := 0
-	for w := 0; w < l.ways; w++ {
-		if l.tags[row][w] == tag {
-			l.stamps[row][w] = now
+	base, tag := l.rowTag(line)
+	lru := base
+	for i := base; i < base+l.ways; i++ {
+		if l.tags[i] == tag {
+			l.stamps[i] = now
 			return
 		}
-		if l.tags[row][w] == 0 {
-			l.tags[row][w] = tag
-			l.stamps[row][w] = now
+		if l.tags[i] == 0 {
+			l.tags[i] = tag
+			l.stamps[i] = now
 			return
 		}
-		if l.stamps[row][w] < l.stamps[row][lru] {
-			lru = w
+		if l.stamps[i] < l.stamps[lru] {
+			lru = i
 		}
 	}
-	l.tags[row][lru] = tag
-	l.stamps[row][lru] = now
+	l.tags[lru] = tag
+	l.stamps[lru] = now
 }
 
 // Hierarchy is the modeled I-side cache stack.
 type Hierarchy struct {
 	cfg      Config
-	l1, l2   *level
+	l1, l2   level
 	inflight map[zarch.Addr]int64 // line -> ready cycle
 	tickBuf  []pendingFill        // scratch for Tick retirement
 	stats    Stats
@@ -181,14 +184,24 @@ type pendingFill struct {
 
 // New builds a hierarchy for cfg.
 func New(cfg Config) *Hierarchy {
-	h := &Hierarchy{
-		cfg:      cfg,
-		l1:       newLevel(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
-		l2:       newLevel(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
-		inflight: make(map[zarch.Addr]int64),
-	}
-	h.stats.WaitHist = NewWaitHist()
+	h := new(Hierarchy)
+	h.Reset(cfg)
 	return h
+}
+
+// Reset empties both levels and the in-flight fills in place for cfg,
+// reusing their storage when it is large enough, and clears the
+// statistics and the fill hook.
+func (h *Hierarchy) Reset(cfg Config) {
+	inflight := h.inflight
+	if inflight == nil {
+		inflight = make(map[zarch.Addr]int64)
+	}
+	clear(inflight)
+	*h = Hierarchy{cfg: cfg, l1: h.l1, l2: h.l2, inflight: inflight, tickBuf: h.tickBuf[:0]}
+	h.l1.reset(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes)
+	h.l2.reset(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes)
+	h.stats.WaitHist = NewWaitHist()
 }
 
 // Stats returns a copy of the counters.

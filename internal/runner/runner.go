@@ -4,9 +4,12 @@
 // from dozens to hundreds of *independent* trace-driven simulations
 // (generation × workload × seed × design point). A Pool runs such a
 // batch across a bounded set of workers with deterministic,
-// order-preserving aggregation: because every job constructs its own
-// sources and predictor state, parallel and serial execution produce
-// byte-identical results (enforced by TestPoolDeterminism).
+// order-preserving aggregation: because every job builds its own
+// sources and starts from reset predictor state, parallel and serial
+// execution produce byte-identical results (enforced by
+// TestPoolDeterminism). Jobs run on machines reused through
+// sim.RunPooled, so a campaign allocates its predictor tables about
+// once per worker, not once per job.
 package runner
 
 import (
@@ -125,7 +128,8 @@ func (p *Pool) workers(n int) int {
 
 // Run executes every job and returns results in job order. Results are
 // identical regardless of Parallelism: each worker writes only its
-// job's slot and each job builds all of its own state. A panic inside
+// job's slot and each job builds its own sources and starts from reset
+// machine state. A panic inside
 // a job (bad workload, model bug) is captured into that job's Err; the
 // pool always drains all jobs.
 //
@@ -172,8 +176,9 @@ feed:
 
 // runOne executes a single job, converting panics into errors so one
 // bad design point cannot take down a whole campaign. The simulation
-// itself runs on the error-returning RunCtx path; the recover is a
-// backstop for panics in source factories and model construction.
+// itself runs on a pooled machine through the error-returning RunCtx
+// path; the recover is a backstop for panics in source factories and
+// model construction (a machine that panicked is not reused).
 func runOne(ctx context.Context, job Job) (res Result) {
 	res.Name = job.Name
 	defer func() {
@@ -205,7 +210,7 @@ func runOne(ctx context.Context, job Job) (res Result) {
 			}
 		}
 	}
-	res.Res, err = sim.New(job.Config, srcs).RunCtx(ctx, 0)
+	res.Res, err = sim.RunPooled(ctx, job.Config, srcs, 0)
 	if err != nil {
 		res.Err = fmt.Errorf("runner: job %q: %w", job.Name, err)
 	}

@@ -518,9 +518,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // runCellSim materializes the cell's workload(s) through the shared
-// trace cache and runs one cancellable simulation. This is the single
-// compute path under the sync handlers, the async jobs, and the
-// result cache's misses. By convention Workload2 runs at Seed+1.
+// trace cache and runs one cancellable simulation on a pooled machine.
+// This is the single compute path under the sync handlers, the async
+// jobs, and the result cache's misses. By convention Workload2 runs at
+// Seed+1.
 func (s *Server) runCellSim(ctx context.Context, spec rcache.CellSpec) (sim.Result, error) {
 	gen, err := core.ByName(spec.Config)
 	if err != nil {
@@ -540,7 +541,7 @@ func (s *Server) runCellSim(ctx context.Context, spec rcache.CellSpec) (sim.Resu
 		cur2 := p2.Cursor()
 		srcs = append(srcs, &cur2)
 	}
-	return sim.New(sim.ForGeneration(gen), srcs).RunCtx(ctx, 0)
+	return sim.RunPooled(ctx, sim.ForGeneration(gen), srcs, 0)
 }
 
 // normalizeSweep applies sweep defaults in place and validates,

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"zbp/internal/btb"
 	"zbp/internal/core"
@@ -75,15 +76,15 @@ type Result struct {
 	// byte-identical (enforced by the fast-vs-instrumented equiv
 	// pair).
 	FastCore bool
-	Cycles    int64
-	Threads   []frontend.Stats
-	Core      core.Stats
-	BTB1      btb.Stats
-	BTB2      btb.Stats
-	Dir       dirpred.Stats
-	Tgt       tgt.Stats
-	CPred     cpred.Stats
-	IC        icache.Stats
+	Cycles   int64
+	Threads  []frontend.Stats
+	Core     core.Stats
+	BTB1     btb.Stats
+	BTB2     btb.Stats
+	Dir      dirpred.Stats
+	Tgt      tgt.Stats
+	CPred    cpred.Stats
+	IC       icache.Stats
 }
 
 // Instructions returns total retired instructions across threads.
@@ -151,30 +152,86 @@ type Sim struct {
 	// loop's pacing guarantees observable per cycle); tests force it
 	// via ForceInstrumentedCore to prove both loops byte-identical.
 	instrumented bool
+
+	// own is the storage behind the pointers above, kept across
+	// Reset: the core and cache tables, the per-thread front ends, and
+	// the prefetch hook (built once, it reads the machine's current
+	// pointers).
+	own struct {
+		core     core.Core
+		ic       icache.Hierarchy
+		threads  [core.MaxThreads]frontend.Thread
+		prefetch func(t int, line zarch.Addr)
+	}
 }
 
 // New builds a simulation over one source per thread (1 = single
 // thread, 2 = SMT2). Bound the sources with trace.Limit to control run
-// length.
+// length. It is the zero value plus Reset, so a fresh machine and a
+// reused one run the same construction code.
 func New(cfg Config, srcs []trace.Source) *Sim {
+	s := new(Sim)
+	s.Reset(cfg, srcs)
+	return s
+}
+
+// Reset rewires the machine, in place, as New(cfg, srcs) would build
+// it. Every table is re-sliced from the storage the machine already
+// owns and cleared, so a machine that once held a larger config
+// allocates nothing for its tables; only a table that must grow is
+// allocated. Clocks, queues, statistics, hooks, observers, an attached
+// EventSink and the instrumented-loop pin are all cleared. A run on a
+// reset machine is byte-identical to one on a fresh machine (the
+// fresh-vs-reused-machine equiv pair).
+func (s *Sim) Reset(cfg Config, srcs []trace.Source) {
 	if len(srcs) < 1 || len(srcs) > core.MaxThreads {
 		panic(fmt.Sprintf("sim: need 1..%d sources, got %d", core.MaxThreads, len(srcs)))
 	}
-	s := &Sim{cfg: cfg, core: core.New(cfg.Core), threads: make([]*frontend.Thread, 0, len(srcs))}
+	*s = Sim{cfg: cfg, threads: s.threads[:0], own: s.own}
+	o := &s.own
+	o.core.Reset(cfg.Core)
+	s.core = &o.core
 	if cfg.ICache != nil {
-		s.ic = icache.New(*cfg.ICache)
+		o.ic.Reset(*cfg.ICache)
+		s.ic = &o.ic
 		if cfg.Prefetch {
-			ic := s.ic
-			c := s.core
-			c.SetSearchHook(func(t int, line zarch.Addr) {
-				ic.Prefetch(line, c.Clock())
-			})
+			if o.prefetch == nil {
+				o.prefetch = func(t int, line zarch.Addr) {
+					s.ic.Prefetch(line, s.core.Clock())
+				}
+			}
+			s.core.SetSearchHook(o.prefetch)
 		}
 	}
 	for i, src := range srcs {
-		s.threads = append(s.threads, frontend.NewThread(cfg.Front, i, s.core, s.ic, src))
+		o.threads[i].Reset(cfg.Front, i, s.core, s.ic, src)
+		s.threads = append(s.threads, &o.threads[i])
 	}
-	return s
+}
+
+// machines is the process-wide pool behind RunPooled. It is not keyed
+// by config: Reset re-slices a machine's tables for whatever config
+// the next cell needs, so a machine that once ran z15 serves zEC12,
+// z13 and z14 cells too, and the pool holds about one largest machine
+// per concurrent run.
+var machines sync.Pool
+
+// RunPooled simulates srcs on cfg as New(cfg, srcs).RunCtx(ctx,
+// maxCycles) does, byte for byte, but on a machine borrowed from a
+// process-wide pool and reset in place, so a cell does not allocate
+// and zero a fresh set of tables. The machine goes back to the pool
+// after the run; one whose reset or run panicked does not. The Result
+// shares no memory with the machine. Callers that attach an EventSink,
+// a metrics registry or observers need the machine itself and use New.
+func RunPooled(ctx context.Context, cfg Config, srcs []trace.Source, maxCycles int64) (Result, error) {
+	s, _ := machines.Get().(*Sim)
+	if s == nil {
+		s = new(Sim)
+	}
+	s.Reset(cfg, srcs)
+	res, err := s.RunCtx(ctx, maxCycles)
+	machines.Put(s)
+	return res, err
 }
 
 // Core exposes the predictor for white-box verification.

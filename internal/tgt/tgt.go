@@ -11,6 +11,7 @@ import (
 	"zbp/internal/hashx"
 	"zbp/internal/history"
 	"zbp/internal/metrics"
+	"zbp/internal/reuse"
 	"zbp/internal/zarch"
 )
 
@@ -122,17 +123,22 @@ type Unit struct {
 
 // New returns a target unit for cfg.
 func New(cfg Config) *Unit {
-	u := &Unit{cfg: cfg}
-	if cfg.CTBEntries > 0 {
-		if cfg.CTBEntries&(cfg.CTBEntries-1) != 0 {
-			panic("tgt: CTBEntries must be a power of two")
-		}
-		u.ctb = make([]ctbEntry, cfg.CTBEntries)
-		for cfg.CTBEntries>>u.idxBits > 1 {
-			u.idxBits++
-		}
-	}
+	u := new(Unit)
+	u.Reset(cfg)
 	return u
+}
+
+// Reset empties the CTB and both return stacks in place for cfg,
+// reusing the CTB's storage when it is large enough, and clears the
+// statistics. A disabled CTB keeps its storage at length zero.
+func (u *Unit) Reset(cfg Config) {
+	if cfg.CTBEntries > 0 && cfg.CTBEntries&(cfg.CTBEntries-1) != 0 {
+		panic("tgt: CTBEntries must be a power of two")
+	}
+	*u = Unit{cfg: cfg, ctb: reuse.Slice(u.ctb, max(cfg.CTBEntries, 0))}
+	for cfg.CTBEntries>>u.idxBits > 1 {
+		u.idxBits++
+	}
 }
 
 // Stats returns a copy of the counters.
@@ -156,7 +162,7 @@ func (u *Unit) ctbTag(addr zarch.Addr, ctx uint16) uint64 {
 // ctbLookup returns the predicted target for the current path, if the
 // entry's address-space tag matches.
 func (u *Unit) ctbLookup(addr zarch.Addr, ctx uint16, g history.GPV) (zarch.Addr, bool) {
-	if u.ctb == nil {
+	if len(u.ctb) == 0 {
 		return 0, false
 	}
 	e := &u.ctb[u.ctbIndex(g)]
@@ -168,7 +174,7 @@ func (u *Unit) ctbLookup(addr zarch.Addr, ctx uint16, g history.GPV) (zarch.Addr
 
 // CTBInstall writes a CTB entry for the branch under the given path.
 func (u *Unit) CTBInstall(addr zarch.Addr, ctx uint16, g history.GPV, target zarch.Addr) {
-	if u.ctb == nil {
+	if len(u.ctb) == 0 {
 		return
 	}
 	e := &u.ctb[u.ctbIndex(g)]

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,32 +125,41 @@ func TestMaterializerDistinctKeyNotBlocked(t *testing.T) {
 
 // TestMaterializerDistinctKeysOverlap is the regression test for the
 // cache-wide-lock bug: requests for different keys must materialize in
-// parallel, not serialize behind one another. It compares the
-// wall-clock of k concurrent Gets against the serial sum of the same k
-// materializations.
+// parallel, not serialize behind one another. The proof is
+// deterministic, not a wall-clock ratio: the generation hook is a
+// barrier that every one of the keys distinct-key materializations
+// must reach before any of them may proceed, so the test passes only
+// if all keys are inside generation at the same time. Under a
+// cache-wide lock the first generator would wait at the barrier
+// holding the lock, the others could never arrive, and the barrier
+// times out.
 func TestMaterializerDistinctKeysOverlap(t *testing.T) {
-	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >= 2 CPUs to observe overlap")
-	}
 	const (
 		keys = 4
 		n    = 1_000_000
 	)
-
-	// Serial baseline: fresh cache, one key at a time.
-	serialMz := NewMaterializer()
-	serialStart := time.Now()
-	for seed := uint64(0); seed < keys; seed++ {
-		if _, err := serialMz.Get("lspr", seed, n); err != nil {
-			t.Fatal(err)
+	var (
+		mu      sync.Mutex
+		arrived int
+	)
+	all := make(chan struct{})
+	timedOut := make(chan struct{})
+	materializeHook = func(string, uint64, int) {
+		mu.Lock()
+		arrived++
+		if arrived == keys {
+			close(all)
+		}
+		mu.Unlock()
+		select {
+		case <-all:
+		case <-timedOut:
 		}
 	}
-	serial := time.Since(serialStart)
+	defer func() { materializeHook = nil }()
 
-	// Concurrent: fresh cache, all keys at once.
 	mz := NewMaterializer()
 	var wg sync.WaitGroup
-	concStart := time.Now()
 	for seed := uint64(0); seed < keys; seed++ {
 		wg.Add(1)
 		go func(seed uint64) {
@@ -161,18 +169,18 @@ func TestMaterializerDistinctKeysOverlap(t *testing.T) {
 			}
 		}(seed)
 	}
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+		mu.Lock()
+		got := arrived
+		mu.Unlock()
+		close(timedOut)
+		wg.Wait()
+		t.Fatalf("only %d of %d distinct-key materializations were in generation at once: distinct keys serialized", got, keys)
+	}
 	wg.Wait()
-	conc := time.Since(concStart)
-
 	if mz.Count() != keys {
 		t.Fatalf("Count() = %d, want %d", mz.Count(), keys)
 	}
-	// With the old cache-wide lock, conc ~= serial. With per-key
-	// singleflight on >= 2 CPUs it must come in clearly under the
-	// serial sum; 0.9 leaves slack for noisy CI machines while still
-	// failing hard on full serialization.
-	if conc >= time.Duration(float64(serial)*0.9) {
-		t.Errorf("concurrent distinct-key Gets did not overlap: concurrent %v vs serial %v", conc, serial)
-	}
-	t.Logf("serial %v, concurrent %v (%.1fx)", serial, conc, float64(serial)/float64(conc))
 }
