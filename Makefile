@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet bench bench-smoke bench-allocs bench-nsinstr bench-json exp race cover fuzz golden golden-wchar serve serve-smoke jobs-smoke diff-smoke cluster-smoke zwork-smoke staticcheck
+.PHONY: all build test vet bench bench-smoke bench-allocs bench-nsinstr bench-json exp race cover fuzz golden golden-wchar serve serve-smoke jobs-smoke diff-smoke cluster-smoke zwork-smoke staticcheck perfbench-check
 
 all: build vet test
 
@@ -52,8 +52,17 @@ cover:
 fuzz:
 	go test ./internal/trace -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 30s
 	go test ./internal/trace -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 30s
+	go test ./internal/trace -run '^$$' -fuzz '^FuzzPackedRoundTrip$$' -fuzztime 30s
 	go test ./internal/trace -run '^$$' -fuzz '^FuzzIngest$$' -fuzztime 30s
 	go test ./internal/equiv -run '^$$' -fuzz '^FuzzEquivCell$$' -fuzztime 30s
+	go test ./internal/server -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 30s
+
+# The benchmark harness is its own Go module, so `go build ./...` at the
+# root skips it; vet and test it against the server/cluster API it
+# compiles against.
+perfbench-check:
+	go vet -C perfbench ./...
+	go test -C perfbench ./...
 
 # Differential equivalence harness smoke: a small clean grid must show
 # zero divergences, and a perturbed cell must be detected.

@@ -1,10 +1,15 @@
 // Package cluster shards sweeps across a fleet of zbpd backends. A
 // single zbpd process is fast and never recomputes repeats, but one
 // sweep still occupies one queue slot on one box — wall-clock for a
-// large grid is bounded by one machine. The coordinator in this
-// package accepts the existing /v1/sweep and /v1/jobs surface
-// unchanged, decomposes the grid into cells, and dispatches them to
-// backends over the /v1/cell protocol with:
+// large grid is bounded by one machine.
+//
+// The coordinator serves the same request surface as a single box
+// because it runs the same code: server.Front, the shared service
+// front, owns decoding and limits, normalization, the error-to-status
+// mapping, the /v1/jobs API, the coordinator-side result cache with
+// its audit lane, and the shared /metrics series. This package is the
+// front's fleet executor — it decomposes each grid into cells and
+// dispatches them to backends over the /v1/cell protocol with:
 //
 //   - Pluggable routing: rendezvous hashing on the result cache's
 //     canonical spec key (the default — identical cells always land on
@@ -19,17 +24,14 @@
 //     the first response simply wins — duplicate dispatch needs no
 //     reconciliation logic, which is what makes hedging free.
 //   - Automatic rerouting away from backends that fail health probes
-//     or drop connections mid-cell.
-//   - Streamed aggregation: per-cell JSONL progress events flow
-//     through the same /v1/jobs/{id}/events machinery a single box
-//     serves, so a client watching a large sweep sees cells complete
-//     live across the fleet.
+//     or drop connections mid-cell, and an elastic membership
+//     (/v1/backends, -backends-file).
 //
-// Because every cell is deterministic and the coordinator derives its
-// aggregate rows from backend-returned canonical stats through the
-// same server.Summarize a single box uses, a fleet sweep's result
-// JSON is byte-identical to a single-box run — even when a backend
-// dies mid-sweep and its cells are replayed elsewhere.
+// Because every cell is deterministic and the front derives aggregate
+// rows from backend-returned canonical stats through the same
+// server.Summarize a single box uses, a fleet sweep's result JSON is
+// byte-identical to a single-box run — even when a backend dies
+// mid-sweep and its cells are replayed elsewhere.
 package cluster
 
 import (
@@ -44,12 +46,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"zbp/internal/core"
-	"zbp/internal/jobs"
-	"zbp/internal/metrics"
 	"zbp/internal/rcache"
 	"zbp/internal/server"
-	"zbp/internal/workload"
 )
 
 // Config sizes a Coordinator. Backends is required; every other field
@@ -188,49 +186,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Coordinator fans cells out over the fleet. Build with New, serve
+// Coordinator fans cells out over the fleet: the shared service front
+// (server.Front) over the fleet executor. Build with New, serve
 // Handler, and Close when done (Drain first on graceful shutdown).
 type Coordinator struct {
+	*server.Front
 	cfg    Config
 	fleet  memberSet // mutable, versioned membership registry
 	router router
 	rr     atomic.Uint64 // shared rotation cursor (round-robin, tie-breaks, diff forwarding)
-	jobs   *jobs.Store
-	reg    *metrics.Registry
-	mux    *http.ServeMux
 	bucket *bucket
 	client *http.Client
-	cache  *rcache.Cache // coordinator-side result cache (fronts dispatch)
-
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	wg         sync.WaitGroup
+	// wg tracks the probe loop and background member drains.
+	wg sync.WaitGroup
 
 	// -backends-file change detection (probe-loop goroutine only).
 	bfMod    time.Time
 	bfSize   int64
 	bfWarned bool
 
-	// Cache-audit lane: sampled coordinator cache hits recomputed via
-	// a real no-cache dispatch (see audit.go).
-	auditCh      chan coordAuditTask
-	auditHits    atomic.Int64
-	audits       atomic.Int64
-	auditErrors  atomic.Int64
-	auditFails   atomic.Int64
-	auditDropped atomic.Int64
-
-	// Live counters, exported via /metrics.
-	requests      atomic.Int64
-	completed     atomic.Int64
-	rejected      atomic.Int64
-	failed        atomic.Int64
-	canceled      atomic.Int64
-	jobsSubmitted atomic.Int64
-
-	cellsDone        atomic.Int64
-	cellsCached      atomic.Int64
-	cellErrors       atomic.Int64
+	// Dispatch and membership counters, exported via /metrics next to
+	// the front's.
 	attempts         atomic.Int64
 	retries          atomic.Int64
 	hedgeLaunched    atomic.Int64
@@ -261,66 +237,50 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.router = r
-	cache, err := rcache.New(rcache.Config{
-		MaxMemBytes:  c.cfg.CacheMemBytes,
-		Dir:          c.cfg.CacheDir,
-		MaxDiskBytes: c.cfg.CacheDiskBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.cache = cache
 	if c.cfg.AdmitCellsPerSec > 0 {
 		c.bucket = newBucket(c.cfg.AdmitCellsPerSec, float64(c.cfg.AdmitBurst), c.cfg.now)
 	}
-	c.jobs = jobs.NewStore(jobs.Options{
-		MaxJobs: c.cfg.MaxJobs,
-		TTL:     c.cfg.JobTTL,
-		Now:     c.cfg.now,
-	})
+	cf := c.cfg
+	c.Front, err = server.NewFront(server.Role{
+		Service: "zbpd-coordinator", Noun: "coordinator", CachePrefix: "zbpd.coord_cache_",
+		FailStatus:          http.StatusBadGateway,
+		FanOut:              true,
+		MaxBodyBytes:        cf.MaxBodyBytes,
+		MaxInstructions:     cf.MaxInstructions,
+		DefaultInstructions: cf.DefaultInstructions,
+		MaxSweepCells:       cf.MaxSweepCells,
+		DefaultTimeout:      cf.DefaultTimeout,
+		MaxTimeout:          cf.MaxTimeout,
+		MaxJobs:             cf.MaxJobs,
+		JobTTL:              cf.JobTTL,
+		Cache:               rcache.Config{MaxMemBytes: cf.CacheMemBytes, Dir: cf.CacheDir, MaxDiskBytes: cf.CacheDiskBytes},
+		AuditEvery:          cf.AuditEvery,
+		Now:                 cf.now,
+	}, c)
+	if err != nil {
+		return nil, err
+	}
 	c.client = &http.Client{Transport: &http.Transport{
 		MaxIdleConnsPerHost: c.cfg.InflightPerBackend + 2,
 		IdleConnTimeout:     90 * time.Second,
 	}}
-	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
 	// Load the membership file once, synchronously, so a file-only
 	// fleet is routable before the first probe tick.
 	c.maybeReloadBackendsFile()
-	c.reg = c.buildRegistry()
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/simulate", c.handleSimulate)
-	c.mux.HandleFunc("POST /v1/sweep", c.handleSweep)
-	c.mux.HandleFunc("POST /v1/jobs", c.handleJobCreate)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobGet)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleJobEvents)
-	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJobDelete)
-	c.mux.HandleFunc("GET /v1/backends", c.handleBackendsList)
-	c.mux.HandleFunc("POST /v1/backends", c.handleBackendAdd)
-	c.mux.HandleFunc("DELETE /v1/backends", c.handleBackendRemove)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	if c.cfg.AuditEvery > 0 {
-		c.auditCh = make(chan coordAuditTask, 8)
-		c.wg.Add(1)
-		go c.auditLoop()
-	}
+	c.registerMetrics()
+	c.HandleFunc("GET /v1/backends", c.handleBackendsList)
+	c.HandleFunc("POST /v1/backends", c.handleBackendAdd)
+	c.HandleFunc("DELETE /v1/backends", c.handleBackendRemove)
+	c.HandleFunc("GET /healthz", c.handleHealthz)
 	c.wg.Add(1)
 	go c.probeLoop()
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP handler tree.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Drain begins shutdown: new job submissions are refused and running
-// jobs cancel cooperatively, ending their event streams. Call before
-// http.Server.Shutdown.
-func (c *Coordinator) Drain() { c.baseCancel() }
-
-// Close cancels everything outstanding and waits for job runners and
-// the probe loop to exit.
+// Close cancels everything outstanding and waits for job runners, the
+// audit loop and the probe loop to exit.
 func (c *Coordinator) Close() {
-	c.baseCancel()
+	c.Front.Close()
 	c.wg.Wait()
 	c.client.CloseIdleConnections()
 }
@@ -375,10 +335,10 @@ func (c *Coordinator) order(members []*backend, spec rcache.CellSpec) []*backend
 	return c.router.order(RouteKey(spec).Hash64(), cands)
 }
 
-// fleetEWMASeconds is the mean smoothed per-task duration across
+// RunSecondsEWMA is the mean smoothed per-task duration across
 // backends with a load snapshot — the fleet-level analogue of the
 // single box's run_seconds_ewma, reported in progress events.
-func (c *Coordinator) fleetEWMASeconds() float64 {
+func (c *Coordinator) RunSecondsEWMA() float64 {
 	var sum float64
 	n := 0
 	for _, b := range c.fleet.snapshot() {
@@ -428,7 +388,7 @@ func (c *Coordinator) probeLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.baseCtx.Done():
+		case <-c.Context().Done():
 			return
 		case <-t.C:
 		}
@@ -452,7 +412,7 @@ func (c *Coordinator) probe(b *backend) {
 	if timeout < time.Second {
 		timeout = time.Second
 	}
-	ctx, cancel := context.WithTimeout(c.baseCtx, timeout)
+	ctx, cancel := context.WithTimeout(c.Context(), timeout)
 	defer cancel()
 	h, err := b.fetchHealth(ctx, c.client)
 	if err != nil {
@@ -482,146 +442,44 @@ func (c *Coordinator) noteBackendSuccess(b *backend) {
 	}
 }
 
-// buildRegistry wires the coordinator gauges; everything is a
-// snapshot-time read of an atomic, so scrapes race nothing.
-func (c *Coordinator) buildRegistry() *metrics.Registry {
-	reg := metrics.NewRegistry()
-	reg.Label("service", "zbpd-coordinator")
-	gauge := func(name string, v *atomic.Int64) {
-		reg.Gauge(name, func() float64 { return float64(v.Load()) })
+// registerMetrics adds the fleet executor's series to the front's.
+func (c *Coordinator) registerMetrics() {
+	reg := c.Registry()
+	gauge := func(name string, v func() int64) {
+		reg.Gauge(name, func() float64 { return float64(v()) })
 	}
-	gauge("zbpd.requests_total", &c.requests)
-	gauge("zbpd.completed_total", &c.completed)
-	gauge("zbpd.rejected_total", &c.rejected)
-	gauge("zbpd.failed_total", &c.failed)
-	gauge("zbpd.canceled_total", &c.canceled)
-	gauge("zbpd.jobs_submitted_total", &c.jobsSubmitted)
-	gauge("zbpd.coord_cells_total", &c.cellsDone)
-	gauge("zbpd.coord_cells_cached_total", &c.cellsCached)
-	gauge("zbpd.coord_cell_errors_total", &c.cellErrors)
-	gauge("zbpd.coord_attempts_total", &c.attempts)
-	gauge("zbpd.coord_retries_total", &c.retries)
-	gauge("zbpd.hedge_launched_total", &c.hedgeLaunched)
-	gauge("zbpd.hedge_wins_total", &c.hedgeWins)
-	gauge("zbpd.backend_unhealthy_total", &c.backendUnhealthy)
-	gauge("zbpd.backend_added_total", &c.backendAdded)
-	gauge("zbpd.backend_removed_total", &c.backendRemoved)
-	gauge("zbpd.coord_cache_audits_total", &c.audits)
-	gauge("zbpd.coord_cache_audit_errors_total", &c.auditErrors)
-	gauge("zbpd.coord_cache_audit_failures_total", &c.auditFails)
-	gauge("zbpd.coord_cache_audit_dropped_total", &c.auditDropped)
-	fn := func(name string, f func() float64) { reg.Gauge(name, f) }
-	fn("zbpd.coord_cache_hits_total", func() float64 { return float64(c.cache.Hits()) })
-	fn("zbpd.coord_cache_misses_total", func() float64 { return float64(c.cache.Misses()) })
-	fn("zbpd.coord_cache_entries", func() float64 { return float64(c.cache.Len()) })
-	fn("zbpd.coord_cache_mem_bytes", func() float64 { return float64(c.cache.MemBytes()) })
-	fn("zbpd.coord_backends", func() float64 { return float64(c.fleet.size()) })
-	fn("zbpd.coord_backends_version", func() float64 { return float64(c.fleet.generation()) })
-	fn("zbpd.coord_backends_healthy", func() float64 {
-		n := 0
+	gauge("zbpd.coord_cells_total", c.CellsDone.Load)
+	gauge("zbpd.coord_cells_cached_total", c.CellsCached.Load)
+	gauge("zbpd.coord_cell_errors_total", c.CellErrors.Load)
+	gauge("zbpd.coord_attempts_total", c.attempts.Load)
+	gauge("zbpd.coord_retries_total", c.retries.Load)
+	gauge("zbpd.hedge_launched_total", c.hedgeLaunched.Load)
+	gauge("zbpd.hedge_wins_total", c.hedgeWins.Load)
+	gauge("zbpd.backend_unhealthy_total", c.backendUnhealthy.Load)
+	gauge("zbpd.backend_added_total", c.backendAdded.Load)
+	gauge("zbpd.backend_removed_total", c.backendRemoved.Load)
+	gauge("zbpd.coord_cache_mem_bytes", c.Cache().MemBytes)
+	gauge("zbpd.coord_backends", func() int64 { return int64(c.fleet.size()) })
+	gauge("zbpd.coord_backends_version", c.fleet.generation)
+	gauge("zbpd.coord_backends_healthy", func() int64 {
+		var n int64
 		for _, b := range c.fleet.snapshot() {
 			if b.healthy.Load() {
 				n++
 			}
 		}
-		return float64(n)
+		return n
 	})
-	fn("zbpd.coord_inflight", func() float64 {
+	gauge("zbpd.coord_inflight", func() int64 {
 		var n int64
 		for _, b := range c.fleet.snapshot() {
 			n += b.inflight.Load()
 		}
-		return float64(n)
+		return n
 	})
 	if c.bucket != nil {
-		fn("zbpd.coord_admit_tokens", func() float64 { return c.bucket.available() })
+		reg.Gauge("zbpd.coord_admit_tokens", c.bucket.available)
 	}
-	fn("zbpd.jobs_active", func() float64 { return float64(c.jobs.Active()) })
-	fn("zbpd.jobs_table", func() float64 { return float64(c.jobs.Len()) })
-	fn("zbpd.jobs_done_total", func() float64 { return float64(c.jobs.DoneCount()) })
-	fn("zbpd.jobs_failed_total", func() float64 { return float64(c.jobs.FailedCount()) })
-	fn("zbpd.jobs_canceled_total", func() float64 { return float64(c.jobs.CanceledCount()) })
-	fn("zbpd.jobs_evicted_total", func() float64 { return float64(c.jobs.Evicted()) })
-	return reg
-}
-
-// --- request validation (mirrors the single-box service) --------------
-
-func (c *Coordinator) normalizeSimulate(req *server.SimulateRequest) (uint64, error) {
-	if req.Config == "" {
-		req.Config = "z15"
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	if req.Instructions == 0 {
-		req.Instructions = c.cfg.DefaultInstructions
-	}
-	if _, err := core.ByName(req.Config); err != nil {
-		return 0, err
-	}
-	if err := validateWorkloads(req.Workload, req.Workload2); err != nil {
-		return 0, err
-	}
-	if req.Instructions < 0 || req.Instructions > c.cfg.MaxInstructions {
-		return 0, fmt.Errorf("instructions %d out of range [1, %d]", req.Instructions, c.cfg.MaxInstructions)
-	}
-	return seed, nil
-}
-
-func (c *Coordinator) normalizeSweep(req *server.SweepRequest) (int, error) {
-	if len(req.Configs) == 0 {
-		req.Configs = []string{"z15"}
-	}
-	if len(req.Seeds) == 0 {
-		req.Seeds = []uint64{42}
-	}
-	if req.Instructions == 0 {
-		req.Instructions = c.cfg.DefaultInstructions
-	}
-	if req.Instructions < 0 || req.Instructions > c.cfg.MaxInstructions {
-		return 0, fmt.Errorf("instructions %d out of range [1, %d]", req.Instructions, c.cfg.MaxInstructions)
-	}
-	cells := len(req.Configs) * len(req.Workloads) * len(req.Seeds)
-	if cells == 0 {
-		return 0, errors.New("empty sweep grid: need workloads")
-	}
-	if cells > c.cfg.MaxSweepCells {
-		return 0, fmt.Errorf("sweep grid has %d cells, limit %d", cells, c.cfg.MaxSweepCells)
-	}
-	if err := validateWorkloads(req.Workloads...); err != nil {
-		return 0, err
-	}
-	for _, name := range req.Configs {
-		if _, err := core.ByName(name); err != nil {
-			return 0, err
-		}
-	}
-	return cells, nil
-}
-
-func validateWorkloads(names ...string) error {
-	if len(names) == 0 || names[0] == "" {
-		return errors.New("missing workload")
-	}
-	reg := workload.Registry()
-	for _, name := range names {
-		if name == "" {
-			continue
-		}
-		// Path-backed workloads (file:/spec:) pass through: each backend
-		// enforces its own -trace-dir allowlist, and the router keys by
-		// content digest when the coordinator can read the file, by name
-		// otherwise (stable either way).
-		if workload.PathBacked(name) {
-			continue
-		}
-		if _, ok := reg[name]; !ok {
-			return fmt.Errorf("unknown workload %q (have %v)", name, workload.Names())
-		}
-	}
-	return nil
 }
 
 // backendName renders a URL as the short name used in events and logs.

@@ -249,3 +249,48 @@ func TestDeadBackendMarkedUnhealthy(t *testing.T) {
 		t.Error("zbpd_coord_backends_healthy not reporting the survivor count")
 	}
 }
+
+// TestDefaultTimeoutClampedToMax pins the request-deadline rule both
+// roles share: a request without timeout_ms gets DefaultTimeout, and
+// MaxTimeout caps it even when DefaultTimeout is larger. Before the
+// coordinator served the shared front it skipped the clamp for the
+// default, so this request waited on a stalled backend for the full
+// hour instead of answering 504 at the ceiling.
+func TestDefaultTimeoutClampedToMax(t *testing.T) {
+	stalled := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	})
+	coord, err := New(Config{
+		Backends:       []string{stalled.URL},
+		HealthInterval: 20 * time.Millisecond,
+		CellTimeout:    time.Hour,
+		HedgeDelay:     -1,
+		MaxAttempts:    1,
+		DefaultTimeout: time.Hour,
+		MaxTimeout:     150 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() {
+		ts.CloseClientConnections()
+		ts.Close()
+		coord.Close()
+	})
+
+	// The client gives up well after the ceiling but long before the
+	// hour, so an unclamped default fails here instead of hanging.
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/simulate", "application/json",
+		strings.NewReader(`{"workload":"loops","instructions":20000}`))
+	if err != nil {
+		t.Fatalf("a request with no timeout_ms outlived MaxTimeout (DefaultTimeout not clamped): %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d (%s), want 504 at the MaxTimeout ceiling", resp.StatusCode, body)
+	}
+}

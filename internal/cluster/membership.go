@@ -36,6 +36,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"zbp/internal/server"
 )
 
 // memberSet is the fleet registry: the live member list plus a version
@@ -153,7 +155,7 @@ func (c *Coordinator) awaitDrain(ctx context.Context, b *backend) bool {
 		select {
 		case <-ctx.Done():
 			return b.inflight.Load() == 0
-		case <-c.baseCtx.Done():
+		case <-c.Context().Done():
 			return b.inflight.Load() == 0
 		case <-t.C:
 			if b.inflight.Load() == 0 {
@@ -187,26 +189,26 @@ type BackendChangeResponse struct {
 }
 
 func (c *Coordinator) handleBackendsList(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
+	c.Requests.Add(1)
 	resp := BackendsResponse{Version: c.fleet.generation()}
 	for _, b := range c.fleet.snapshot() {
 		resp.Backends = append(resp.Backends, b.status())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleBackendAdd(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
-	if c.baseCtx.Err() != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "coordinator shutting down"})
+	c.Requests.Add(1)
+	if c.Context().Err() != nil {
+		c.ShuttingDown(w)
 		return
 	}
 	var req backendChangeRequest
-	if !c.decode(w, r, &req) {
+	if !c.Decode(w, r, &req) {
 		return
 	}
 	if req.URL == "" {
-		c.fail(w, http.StatusBadRequest, errors.New("missing backend url"))
+		c.Fail(w, http.StatusBadRequest, errors.New("missing backend url"))
 		return
 	}
 	b, err := c.registerBackend(req.URL)
@@ -215,10 +217,10 @@ func (c *Coordinator) handleBackendAdd(w http.ResponseWriter, r *http.Request) {
 		if c.urlInFleet(req.URL) || strings.Contains(err.Error(), "draining") {
 			status = http.StatusConflict
 		}
-		c.fail(w, status, err)
+		c.Fail(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, BackendChangeResponse{
+	server.WriteJSON(w, http.StatusCreated, BackendChangeResponse{
 		Backend: b.status(), Version: c.fleet.generation(),
 	})
 }
@@ -233,27 +235,27 @@ func (c *Coordinator) urlInFleet(raw string) bool {
 }
 
 func (c *Coordinator) handleBackendRemove(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
+	c.Requests.Add(1)
 	raw := r.URL.Query().Get("url")
 	if raw == "" {
 		var req backendChangeRequest
-		if !c.decode(w, r, &req) {
+		if !c.Decode(w, r, &req) {
 			return
 		}
 		raw = req.URL
 	}
 	if raw == "" {
-		c.fail(w, http.StatusBadRequest, errors.New("missing backend url (query ?url= or JSON body)"))
+		c.Fail(w, http.StatusBadRequest, errors.New("missing backend url (query ?url= or JSON body)"))
 		return
 	}
 	_, clean, err := backendName(raw)
 	if err != nil {
-		c.fail(w, http.StatusBadRequest, err)
+		c.Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	b, ok := c.fleet.get(clean)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no such backend %s", clean)})
+		server.WriteError(w, http.StatusNotFound, fmt.Sprintf("no such backend %s", clean))
 		return
 	}
 	// Bound the drain by the client's patience and one cell attempt:
@@ -261,7 +263,7 @@ func (c *Coordinator) handleBackendRemove(w http.ResponseWriter, r *http.Request
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.CellTimeout)
 	defer cancel()
 	drained := c.removeBackend(ctx, b)
-	writeJSON(w, http.StatusOK, BackendChangeResponse{
+	server.WriteJSON(w, http.StatusOK, BackendChangeResponse{
 		Backend: b.status(), Drained: drained, Version: c.fleet.generation(),
 	})
 }
@@ -338,7 +340,7 @@ func (c *Coordinator) reconcile(urls []string) {
 		c.wg.Add(1)
 		go func(b *backend) {
 			defer c.wg.Done()
-			ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.CellTimeout)
+			ctx, cancel := context.WithTimeout(c.Context(), c.cfg.CellTimeout)
 			defer cancel()
 			c.removeBackend(ctx, b)
 		}(b)

@@ -251,7 +251,7 @@ func TestRegisterColdBackendMidCampaign(t *testing.T) {
 	// Warm repeat of the first grid: every cell cache-served, zero
 	// backend dispatches, bytes unchanged by the membership change.
 	dispatchedBefore := totalDispatched(f.coord)
-	hitsBefore := f.coord.cache.Hits()
+	hitsBefore := f.coord.Cache().Hits()
 	warm := runSweepJob(t, f.url, gridA)
 	if !bytes.Equal(warm.Result, cold.Result) {
 		t.Error("warm repeat diverged after membership change")
@@ -263,7 +263,7 @@ func TestRegisterColdBackendMidCampaign(t *testing.T) {
 	if d := totalDispatched(f.coord) - dispatchedBefore; d != 0 {
 		t.Errorf("warm repeat performed %d backend dispatches, want 0", d)
 	}
-	if h := f.coord.cache.Hits() - hitsBefore; h != int64(warm.Progress.CellsTotal) {
+	if h := f.coord.Cache().Hits() - hitsBefore; h != int64(warm.Progress.CellsTotal) {
 		t.Errorf("coordinator cache hits moved by %d, want %d", h, warm.Progress.CellsTotal)
 	}
 }
@@ -359,7 +359,7 @@ func TestCoordCacheAuditCatchesPoison(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("simulate: status %d: %s", resp.StatusCode, body)
 	}
-	honest, ok := f.coord.cache.Get(RouteKey(rcache.CellSpec{
+	honest, ok := f.coord.Cache().Get(RouteKey(rcache.CellSpec{
 		Config: "z15", Workload: "loops", Seed: 42, Instructions: 20_000,
 	}))
 	if !ok {
@@ -367,7 +367,7 @@ func TestCoordCacheAuditCatchesPoison(t *testing.T) {
 	}
 	// ...and plant them under seed 7's address: a parseable lie.
 	seed := uint64(7)
-	f.coord.cache.Put(RouteKey(rcache.CellSpec{
+	f.coord.Cache().Put(RouteKey(rcache.CellSpec{
 		Config: "z15", Workload: "loops", Seed: seed, Instructions: 20_000,
 	}), honest)
 
@@ -381,13 +381,13 @@ func TestCoordCacheAuditCatchesPoison(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
-	for f.coord.auditFails.Load() == 0 && time.Now().Before(deadline) {
+	for f.coord.AuditFailures.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if f.coord.auditFails.Load() == 0 {
+	if f.coord.AuditFailures.Load() == 0 {
 		t.Fatal("audit never flagged the poisoned entry")
 	}
-	if f.coord.audits.Load() == 0 {
+	if f.coord.Audits.Load() == 0 {
 		t.Error("audit counter did not move")
 	}
 }

@@ -3,8 +3,7 @@
 // crosschecking methodology: instead of trusting any single execution
 // path, the same (config, workload, seed, budget) cell is pushed
 // through pairs of paths that must agree exactly — packed replay vs
-// streaming generation, fast vs instrumented cycle loop, pooled vs
-// direct execution, cancellable vs plain run loops, reset-reuse vs
+// streaming generation, pooled vs direct execution, cancellable vs plain run loops, reset-reuse vs
 // fresh state (of a trace source and of a whole machine), event-log
 // reconstruction
 // vs counter aggregation — plus metamorphic invariants (capacity
@@ -73,12 +72,11 @@ type Check struct {
 	run  func(ctx context.Context, env *cellEnv, rep *verif.DiffReport) error
 }
 
-// Checks returns every registered check in execution order: the seven
+// Checks returns every registered check in execution order: the six
 // exact pairs first, then the metamorphic invariants.
 func Checks() []Check {
 	return []Check{
 		{"packed-vs-streaming", Exact, checkPackedVsStreaming},
-		{"fast-vs-instrumented", Exact, checkFastVsInstrumented},
 		{"pool-1-vs-n", Exact, checkPool1VsN},
 		{"run-vs-runctx", Exact, checkRunVsRunCtx},
 		{"fresh-vs-reset", Exact, checkFreshVsReset},

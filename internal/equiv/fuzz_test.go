@@ -22,7 +22,7 @@ func FuzzEquivCell(f *testing.F) {
 
 	configs := []string{"zEC12", "z13", "z14", "z15"}
 	workloads := workload.Names()
-	opts := Options{Checks: []string{"packed-vs-streaming", "fast-vs-instrumented", "run-vs-runctx", "warmup-prefix"}}
+	opts := Options{Checks: []string{"packed-vs-streaming", "run-vs-runctx", "warmup-prefix"}}
 
 	f.Fuzz(func(t *testing.T, cfgIdx, wlIdx uint8, seed uint64, scale uint16) {
 		cell := Cell{

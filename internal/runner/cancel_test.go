@@ -8,6 +8,7 @@ import (
 
 	"zbp/internal/runner"
 	"zbp/internal/sim"
+	"zbp/internal/trace"
 	"zbp/internal/workload"
 )
 
@@ -35,6 +36,11 @@ func TestPoolCanceledBeforeStart(t *testing.T) {
 		}
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("job %q err = %v, want context.Canceled", r.Name, r.Err)
+		}
+		// The deterministic form of "returned promptly": no job
+		// simulated a single cycle.
+		if r.Res.Cycles != 0 {
+			t.Errorf("job %q simulated %d cycles under a pre-canceled context", r.Name, r.Res.Cycles)
 		}
 	}
 }
@@ -86,6 +92,12 @@ func TestPoolCancelMidBatch(t *testing.T) {
 				if !errors.Is(r.Err, context.DeadlineExceeded) {
 					t.Errorf("unexpected error: %v", r.Err)
 				}
+				// Independent of timing: a canceled job either never
+				// started or stopped early with a truncated prefix.
+				if r.Res.Cycles != 0 && (!r.Res.Truncated || r.Res.Instructions() >= 2_000_000) {
+					t.Errorf("canceled job ran %d cycles, %d instructions, truncated=%v",
+						r.Res.Cycles, r.Res.Instructions(), r.Res.Truncated)
+				}
 				canceled++
 			}
 			if canceled == 0 {
@@ -95,25 +107,42 @@ func TestPoolCancelMidBatch(t *testing.T) {
 	}
 }
 
+// cancelAfter hands out records from src and cancels once it has
+// handed out n of them, so a test cancels at a known point of the run
+// rather than after a wall-clock sleep.
+type cancelAfter struct {
+	src    trace.Source
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Next() (trace.Rec, bool) {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.src.Next()
+}
+
 // TestPoolCancelPartialResults: an in-flight job stopped by
 // cancellation surfaces the truncated partial result next to its
-// error.
+// error. The cancel fires from inside the run, after 100k records, so
+// the job has certainly started and retired instructions.
 func TestPoolCancelPartialResults(t *testing.T) {
 	p, err := workload.MakePacked("lspr", 42, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	jobs := []runner.Job{{
-		Name:         "long",
-		Config:       sim.Z15(),
-		Source:       runner.Packed(p),
+		Name:   "long",
+		Config: sim.Z15(),
+		Source: func() ([]trace.Source, error) {
+			cur := p.Cursor()
+			return []trace.Source{&cancelAfter{src: &cur, n: 100_000, cancel: cancel}}, nil
+		},
 		Instructions: 2_000_000,
 	}}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
 	res := (&runner.Pool{Parallelism: 1}).Run(ctx, jobs)[0]
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", res.Err)
@@ -121,7 +150,7 @@ func TestPoolCancelPartialResults(t *testing.T) {
 	if !res.Res.Truncated {
 		t.Error("canceled in-flight job's partial result not marked Truncated")
 	}
-	if res.Res.Instructions() == 0 {
-		t.Error("50ms of simulation retired no instructions")
+	if n := res.Res.Instructions(); n == 0 || n >= 2_000_000 {
+		t.Errorf("job canceled after 100k records retired %d instructions", n)
 	}
 }

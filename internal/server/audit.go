@@ -3,24 +3,24 @@ package server
 import (
 	"log"
 
-	"zbp/internal/equiv"
 	"zbp/internal/rcache"
 )
 
-// Background cache auditor: the equiv harness doubled as a
-// cache-poisoning detector. Every AuditEvery'th cache hit is handed
-// to a single background goroutine that recomputes the cell from
-// scratch (equiv.Audit) and byte-compares the canonical stats JSON
-// against what the cache served. Divergence — a poisoned disk entry,
-// a stale-schema payload, bit rot — lands in
-// zbpd_cache_audit_failures_total and the server log; it is the
-// integrity check the cache's deliberately unchecksummed disk format
-// relies on.
+// Background cache auditor. A result cache serves repeat cells without
+// simulating, which is exactly why it must be audited: a poisoned disk
+// entry, a stale-schema payload or bit rot would otherwise be served
+// forever. Every AuditEvery'th cache hit is handed to a single
+// background goroutine that has the executor recompute the cell from
+// scratch and compare it against what the cache served — a single box
+// through equiv.Audit on a fresh machine, a coordinator through a
+// no-cache fleet dispatch. Divergence lands in the
+// *cache_audit_failures_total series and the log; it is the integrity
+// check the cache's deliberately unchecksummed disk format relies on.
 
 // auditTask carries one sampled cache hit to the audit loop.
 type auditTask struct {
 	key   rcache.Key
-	cell  equiv.AuditCell
+	cell  rcache.CellSpec
 	stats []byte
 }
 
@@ -28,65 +28,53 @@ type auditTask struct {
 // non-blocking: auditing is a watchdog, not a gate, so when the
 // auditor is saturated the sample is dropped (and counted) rather
 // than stalling the serving path.
-func (s *Server) maybeAudit(key rcache.Key, cell rcache.CellSpec, stats []byte) {
-	if s.auditCh == nil {
+func (f *Front) maybeAudit(key rcache.Key, cell rcache.CellSpec, stats []byte) {
+	if f.auditCh == nil {
 		return
 	}
-	n := s.auditHits.Add(1)
-	if n%int64(s.cfg.AuditEvery) != 0 {
+	if f.AuditHits.Add(1)%int64(f.role.AuditEvery) != 0 {
 		return
-	}
-	t := auditTask{
-		key: key,
-		cell: equiv.AuditCell{
-			Config:       cell.Config,
-			Workload:     cell.Workload,
-			Workload2:    cell.Workload2,
-			Seed:         cell.Seed,
-			Instructions: cell.Instructions,
-		},
-		stats: stats,
 	}
 	select {
-	case s.auditCh <- t:
+	case f.auditCh <- auditTask{key: key, cell: cell, stats: stats}:
 	default:
-		s.auditDropped.Add(1)
+		f.AuditDropped.Add(1)
 	}
 }
 
-// auditLoop drains sampled hits until the server's base context dies.
+// auditLoop drains sampled hits until the front's base context dies.
 // One goroutine, deliberately: audits are full recomputations, and a
-// single lane bounds how much simulation capacity verification can
-// steal from real traffic.
-func (s *Server) auditLoop() {
-	defer s.asyncWG.Done()
+// single lane bounds how much capacity verification can steal from
+// real traffic.
+func (f *Front) auditLoop() {
+	defer f.asyncWG.Done()
 	for {
 		select {
-		case <-s.baseCtx.Done():
+		case <-f.baseCtx.Done():
 			return
-		case t := <-s.auditCh:
-			s.runAudit(t)
+		case t := <-f.auditCh:
+			f.runAudit(t)
 		}
 	}
 }
 
 // runAudit recomputes one sampled hit and records the verdict.
-func (s *Server) runAudit(t auditTask) {
-	s.audits.Add(1)
-	findings, err := equiv.Audit(s.baseCtx, t.cell, t.stats)
+func (f *Front) runAudit(t auditTask) {
+	f.Audits.Add(1)
+	findings, err := f.exec.Audit(f.baseCtx, t.cell, t.stats)
 	switch {
 	case err != nil:
-		if s.baseCtx.Err() != nil {
+		if f.baseCtx.Err() != nil {
 			// Shutdown interrupted the recompute; not an audit error.
-			s.audits.Add(-1)
+			f.Audits.Add(-1)
 			return
 		}
-		s.auditErrors.Add(1)
-		log.Printf("cache audit error: cell %s key %s: %v", t.cell.Name(), t.key.Hash(), err)
+		f.AuditErrors.Add(1)
+		log.Printf("cache audit error: key %s: %v", t.key.Hash(), err)
 	case len(findings) > 0:
-		s.auditFailures.Add(int64(len(findings)))
-		for _, f := range findings {
-			log.Printf("CACHE AUDIT FAILURE: key %s: %s: %s", t.key.Hash(), f.Cell, f.Detail)
+		f.AuditFailures.Add(int64(len(findings)))
+		for _, d := range findings {
+			log.Printf("CACHE AUDIT FAILURE: key %s: %s", t.key.Hash(), d)
 		}
 	}
 }

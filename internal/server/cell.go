@@ -3,9 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
-	"strconv"
 
 	"zbp/internal/rcache"
 )
@@ -45,14 +43,14 @@ type CellResponse struct {
 }
 
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
+	s.Requests.Add(1)
 	var req CellRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	seed, err := s.normalizeSimulate(&req.SimulateRequest)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		s.Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
@@ -64,7 +62,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	}
 	// Misses acquire a queue slot around the compute; hits bypass the
 	// queue entirely.
-	compute := func(ctx context.Context) ([]byte, error) {
+	compute := func(ctx context.Context, cell rcache.CellSpec, _ bool) (CellOutcome, error) {
 		var (
 			b    []byte
 			cerr error
@@ -72,28 +70,14 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		if submitErr := s.enqueue(ctx, func(ctx context.Context) {
 			b, cerr = s.computeCellStats(ctx, cell)
 		}); submitErr != nil {
-			return nil, submitErr
+			return CellOutcome{}, submitErr
 		}
 		if cerr == nil && ctx.Err() != nil {
 			// Skipped while queued: the deadline beat the workers to it.
 			cerr = ctx.Err()
 		}
-		return b, cerr
+		return CellOutcome{Stats: b}, cerr
 	}
-	stats, cached, err := s.cachedCellVia(ctx, cell, req.NoCache, compute)
-	switch {
-	case errors.Is(err, errQueueFull):
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "job queue full, retry later"})
-		return
-	case errors.Is(err, errShuttingDown):
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
-		return
-	case err != nil:
-		s.replyRunError(w, err)
-		return
-	}
-	s.completed.Add(1)
-	writeJSON(w, http.StatusOK, CellResponse{Cached: cached, Stats: stats})
+	out, err := s.resolveCell(ctx, cell, req.NoCache, compute)
+	s.reply(w, CellResponse{Cached: out.Cached, Stats: out.Stats}, err)
 }

@@ -2,11 +2,8 @@ package server
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"net/http"
 
-	"zbp/internal/core"
 	"zbp/internal/equiv"
 )
 
@@ -53,59 +50,15 @@ type DiffResponse struct {
 	Divergences int        `json:"divergences"`
 }
 
-// normalizeDiff applies diff defaults in place and validates,
-// returning the resolved seed and the grid size. Shared by the sync
-// handler and async job submission.
-func (s *Server) normalizeDiff(req *DiffRequest) (uint64, int, error) {
-	if len(req.Configs) == 0 {
-		req.Configs = []string{"z15"}
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	if req.Instructions == 0 {
-		req.Instructions = s.cfg.DefaultInstructions
-	}
-	if req.Instructions < 0 || req.Instructions > s.cfg.MaxInstructions {
-		return 0, 0, fmt.Errorf("instructions %d out of range [1, %d]", req.Instructions, s.cfg.MaxInstructions)
-	}
-	cells := len(req.Configs) * len(req.Workloads)
-	if cells == 0 {
-		return 0, 0, errors.New("empty diff grid: need workloads")
-	}
-	if cells > s.cfg.MaxSweepCells {
-		return 0, 0, fmt.Errorf("diff grid has %d cells, limit %d", cells, s.cfg.MaxSweepCells)
-	}
-	for _, name := range req.Configs {
-		if _, err := core.ByName(name); err != nil {
-			return 0, 0, err
-		}
-	}
-	if err := s.resolveWorkloads(sliceRefs(req.Workloads)...); err != nil {
-		return 0, 0, err
-	}
-	known := map[string]bool{}
-	for _, n := range equiv.CheckNames() {
-		known[n] = true
-	}
-	for _, n := range req.Checks {
-		if !known[n] {
-			return 0, 0, fmt.Errorf("unknown check %q (have %v)", n, equiv.CheckNames())
-		}
-	}
-	return seed, cells, nil
-}
-
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
+	s.Requests.Add(1)
 	var req DiffRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	seed, _, err := s.normalizeDiff(&req)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		s.Fail(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -115,37 +68,47 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	grid := equiv.Grid(req.Configs, req.Workloads, seed, req.Instructions)
 	opts := equiv.Options{Checks: req.Checks, Perturb: req.Perturb}
 	var results []equiv.CellResult
-	submitErr := s.enqueue(ctx, func(ctx context.Context) {
+	err = s.enqueue(ctx, func(ctx context.Context) {
 		// Like sweeps, the whole grid occupies one queue slot;
 		// parallelism 1 keeps simulation concurrency at the worker
 		// count.
 		results = equiv.CheckGrid(ctx, grid, opts, 1)
 	})
-	if s.replyQueueError(w, submitErr) {
-		return
-	}
-	if results == nil {
+	if err == nil && results == nil {
 		// Skipped while queued.
-		s.replyRunError(w, ctx.Err())
-		return
+		err = ctx.Err()
 	}
-
 	resp := DiffResponse{Cells: make([]DiffCell, len(results))}
 	for i, cr := range results {
-		cell := diffCellOf(cr)
-		if !cell.OK {
-			resp.Divergences++
-			s.diffDivergences.Add(1)
-		}
-		resp.Cells[i] = cell
+		resp.Cells[i] = s.diffCell(&resp, cr)
 	}
-	s.completed.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	s.reply(w, resp, err)
 }
 
-// diffCellOf converts one harness cell result to the API shape
-// (shared by the sync handler and the async diff job).
-func diffCellOf(cr equiv.CellResult) DiffCell {
+// Diff runs a diff job's grid one cell at a time inside the job's
+// queue slot, stopping at the first sign of cancellation.
+func (s *Server) Diff(ctx context.Context, req DiffRequest, seed uint64, onCell func(i, total int, c DiffCell)) (DiffResponse, error) {
+	grid := equiv.Grid(req.Configs, req.Workloads, seed, req.Instructions)
+	opts := equiv.Options{Checks: req.Checks, Perturb: req.Perturb}
+	resp := DiffResponse{Cells: make([]DiffCell, 0, len(grid))}
+	for i, cell := range grid {
+		if err := ctx.Err(); err != nil {
+			return DiffResponse{}, err
+		}
+		cr := equiv.CheckCell(ctx, cell, opts)
+		if err := ctx.Err(); err != nil {
+			return DiffResponse{}, err
+		}
+		dc := s.diffCell(&resp, cr)
+		resp.Cells = append(resp.Cells, dc)
+		onCell(i, len(grid), dc)
+	}
+	return resp, nil
+}
+
+// diffCell converts one harness cell result to the API shape and
+// counts a divergence against resp and the service.
+func (s *Server) diffCell(resp *DiffResponse, cr equiv.CellResult) DiffCell {
 	cell := DiffCell{
 		Config:   cr.Cell.Config,
 		Workload: cr.Cell.Workload,
@@ -160,6 +123,10 @@ func diffCellOf(cr equiv.CellResult) DiffCell {
 		cell.Findings = append(cell.Findings, DiffFinding{
 			Check: f.Check, Metric: f.Metric, Detail: f.Detail,
 		})
+	}
+	if !cell.OK {
+		resp.Divergences++
+		s.diffDivergences.Add(1)
 	}
 	return cell
 }

@@ -6,10 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
+	"sync"
 	"time"
 
-	"zbp/internal/equiv"
 	"zbp/internal/jobs"
 	"zbp/internal/metrics"
 	"zbp/internal/rcache"
@@ -17,9 +16,10 @@ import (
 
 // Async job API. A job is a simulate/sweep/diff request that runs
 // outside the submitting HTTP request: submission validates and
-// answers immediately with a job ID, a runner goroutine takes one
-// bounded-queue slot (the same backpressure sync requests obey), and
-// clients poll GET /v1/jobs/{id} or follow the JSONL event stream.
+// answers immediately with a job ID, a runner goroutine hands the job
+// to the executor's Schedule (a single box waits for one bounded-queue
+// slot, the same backpressure sync requests obey), and clients poll
+// GET /v1/jobs/{id} or follow the JSONL event stream.
 //
 // Simulate and sweep cells route through the content-addressed result
 // cache: the cell spec is hashed (rcache.NewKey) and previously
@@ -54,12 +54,13 @@ type jobSpec struct {
 	sweep    SweepRequest
 	diff     DiffRequest
 	seed     uint64 // resolved seed for simulate/diff kinds
+	cells    int
 	noCache  bool
 }
 
-// cellEvent is the JSONL progress line published after every finished
+// CellEvent is the JSONL progress line published after every finished
 // simulate/sweep cell.
-type cellEvent struct {
+type CellEvent struct {
 	Type      string `json:"type"` // "cell"
 	Index     int    `json:"index"`
 	Done      int    `json:"done"`
@@ -68,18 +69,22 @@ type cellEvent struct {
 	Workload  string `json:"workload"`
 	Workload2 string `json:"workload2,omitempty"`
 	Seed      uint64 `json:"seed"`
-	// Cached marks a cell served from the result cache (zero simulated
+	// Cached marks a cell served from a result cache (zero simulated
 	// cycles).
-	Cached       bool    `json:"cached"`
+	Cached bool `json:"cached"`
+	// Backend and Hedged attribute a fleet cell: which backend
+	// answered, and whether the hedged duplicate won.
+	Backend      string  `json:"backend,omitempty"`
+	Hedged       bool    `json:"hedged,omitempty"`
 	Instructions int64   `json:"instructions,omitempty"`
 	Cycles       int64   `json:"cycles,omitempty"`
 	MPKI         float64 `json:"mpki"`
 	IPC          float64 `json:"ipc"`
 	Accuracy     float64 `json:"accuracy"`
 	Error        string  `json:"error,omitempty"`
-	// RunSecondsEWMA is the server's smoothed per-task duration at
-	// publish time, so a streaming client can project the remaining
-	// wall time of the sweep.
+	// RunSecondsEWMA is the smoothed per-task duration at publish time
+	// (the fleet mean behind a coordinator), so a streaming client can
+	// project the remaining wall time of the sweep.
 	RunSecondsEWMA float64 `json:"run_seconds_ewma"`
 }
 
@@ -100,119 +105,106 @@ type diffCellEvent struct {
 
 // --- handlers ---------------------------------------------------------
 
-func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if s.baseCtx.Err() != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
+func (f *Front) handleJobCreate(w http.ResponseWriter, r *http.Request) {
+	f.Requests.Add(1)
+	if f.baseCtx.Err() != nil {
+		f.ShuttingDown(w)
 		return
 	}
 	var req JobRequest
-	if !s.decode(w, r, &req) {
+	if !f.Decode(w, r, &req) {
 		return
 	}
-	spec, cells, err := s.planJob(&req)
+	spec, err := f.planJob(&req)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		f.Fail(w, http.StatusBadRequest, err)
 		return
 	}
-	j, err := s.jobs.Create(spec.kind, cells)
+	if !f.admit(w, spec.cells) {
+		return
+	}
+	j, err := f.jobs.Create(spec.kind, spec.cells)
 	if err != nil {
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "job table full, retry later"})
+		f.reject(w, f.exec.RetryAfter(), "job table full, retry later")
 		return
 	}
-	s.jobsSubmitted.Add(1)
+	f.JobsSubmitted.Add(1)
 
-	timeout := s.cfg.MaxTimeout
+	// Jobs exist to outlive the HTTP timeout, so they get the ceiling,
+	// not the per-request default.
+	timeout := f.role.MaxTimeout
 	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+		timeout = min(time.Duration(req.TimeoutMs)*time.Millisecond, f.role.MaxTimeout)
 	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	ctx, cancel := context.WithTimeout(f.baseCtx, timeout)
 	j.SetCancel(cancel)
-	s.asyncWG.Add(1)
-	go s.runJob(ctx, cancel, j, spec)
+	f.asyncWG.Add(1)
+	go f.runJob(ctx, cancel, j, spec)
 
 	w.Header().Set("Location", "/v1/jobs/"+j.ID())
-	writeJSON(w, http.StatusCreated, j.Snapshot())
+	WriteJSON(w, http.StatusCreated, j.Snapshot())
 }
 
 // planJob validates the request into an executable spec, reusing the
 // same normalization the sync endpoints apply.
-func (s *Server) planJob(req *JobRequest) (jobSpec, int, error) {
+func (f *Front) planJob(req *JobRequest) (jobSpec, error) {
 	set := 0
-	if req.Simulate != nil {
-		set++
-	}
-	if req.Sweep != nil {
-		set++
-	}
-	if req.Diff != nil {
-		set++
+	for _, p := range []bool{req.Simulate != nil, req.Sweep != nil, req.Diff != nil} {
+		if p {
+			set++
+		}
 	}
 	if set != 1 {
-		return jobSpec{}, 0, fmt.Errorf("need exactly one of simulate/sweep/diff payloads, have %d", set)
+		return jobSpec{}, fmt.Errorf("need exactly one of simulate/sweep/diff payloads, have %d", set)
 	}
-	spec := jobSpec{noCache: req.NoCache}
+	spec := jobSpec{noCache: req.NoCache, cells: 1}
+	var err error
 	switch {
 	case req.Simulate != nil:
-		if req.Kind != "" && req.Kind != "simulate" {
-			return jobSpec{}, 0, fmt.Errorf("kind %q does not match the simulate payload", req.Kind)
-		}
-		seed, err := s.normalizeSimulate(req.Simulate)
-		if err != nil {
-			return jobSpec{}, 0, err
-		}
-		spec.kind, spec.simulate, spec.seed = "simulate", *req.Simulate, seed
-		return spec, 1, nil
+		spec.kind = "simulate"
+		spec.seed, err = f.normalizeSimulate(req.Simulate)
+		spec.simulate = *req.Simulate
 	case req.Sweep != nil:
-		if req.Kind != "" && req.Kind != "sweep" {
-			return jobSpec{}, 0, fmt.Errorf("kind %q does not match the sweep payload", req.Kind)
-		}
-		cells, err := s.normalizeSweep(req.Sweep)
-		if err != nil {
-			return jobSpec{}, 0, err
-		}
-		spec.kind, spec.sweep = "sweep", *req.Sweep
-		return spec, cells, nil
+		spec.kind = "sweep"
+		spec.cells, err = f.normalizeSweep(req.Sweep)
+		spec.sweep = *req.Sweep
 	default:
-		if req.Kind != "" && req.Kind != "diff" {
-			return jobSpec{}, 0, fmt.Errorf("kind %q does not match the diff payload", req.Kind)
-		}
-		seed, cells, err := s.normalizeDiff(req.Diff)
-		if err != nil {
-			return jobSpec{}, 0, err
-		}
-		spec.kind, spec.diff, spec.seed = "diff", *req.Diff, seed
-		return spec, cells, nil
+		spec.kind = "diff"
+		spec.seed, spec.cells, err = f.normalizeDiff(req.Diff)
+		spec.diff = *req.Diff
+	}
+	if req.Kind != "" && req.Kind != spec.kind {
+		return jobSpec{}, fmt.Errorf("kind %q does not match the %s payload", req.Kind, spec.kind)
+	}
+	return spec, err
+}
+
+// job finds the job a request names, answering 404 itself.
+func (f *Front) job(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
+	f.Requests.Add(1)
+	j, ok := f.jobs.Get(r.PathValue("id"))
+	if !ok {
+		WriteError(w, http.StatusNotFound, "no such job (unknown ID or evicted after TTL)")
+	}
+	return j, ok
+}
+
+func (f *Front) handleJobGet(w http.ResponseWriter, r *http.Request) {
+	if j, ok := f.job(w, r); ok {
+		WriteJSON(w, http.StatusOK, j.Snapshot())
 	}
 }
 
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	j, ok := s.jobs.Get(r.PathValue("id"))
+func (f *Front) handleJobDelete(w http.ResponseWriter, r *http.Request) {
+	j, ok := f.job(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job (unknown ID or evicted after TTL)"})
-		return
-	}
-	writeJSON(w, http.StatusOK, j.Snapshot())
-}
-
-func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	j, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job (unknown ID or evicted after TTL)"})
 		return
 	}
 	// Cancel fires the job's context cancel with no locks held; the
 	// runner observes it cooperatively (sim.RunCtx polls) and the
 	// job transitions to canceled asynchronously.
-	j.Cancel(s.cfg.now(), "canceled by client")
-	writeJSON(w, http.StatusOK, j.Snapshot())
+	j.Cancel(f.role.Now(), "canceled by client")
+	WriteJSON(w, http.StatusOK, j.Snapshot())
 }
 
 // handleJobEvents streams the job's event history and then live
@@ -227,11 +219,9 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 // without blocking. A reader that stalls mid-write therefore stalls
 // only itself — publishers, cancellation, and the job table never
 // wait on it.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	j, ok := s.jobs.Get(r.PathValue("id"))
+func (f *Front) handleJobEvents(w http.ResponseWriter, r *http.Request) {
+	j, ok := f.job(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job (unknown ID or evicted after TTL)"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -272,98 +262,139 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 // --- execution --------------------------------------------------------
 
-// runJob drives one job through the bounded queue. The job table is
-// the admission control for async work, so a momentarily full queue
-// is waited out with a short backoff rather than surfaced as 429 —
-// the client already holds a job ID.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *jobs.Job, spec jobSpec) {
-	defer s.asyncWG.Done()
+// runJob drives one job through the executor's Schedule, then closes
+// it out if the body never got to.
+func (f *Front) runJob(ctx context.Context, cancel context.CancelFunc, j *jobs.Job, spec jobSpec) {
+	defer f.asyncWG.Done()
 	defer cancel()
-	for {
-		err := s.enqueue(ctx, func(ctx context.Context) { s.executeJob(ctx, j, spec) })
-		switch {
-		case err == nil:
-			// Ran, or was skipped because ctx died while queued; in the
-			// skip case executeJob never got to finish the job.
-			s.finishJob(j, ctx.Err())
-			return
-		case errors.Is(err, errQueueFull):
-			select {
-			case <-ctx.Done():
-				s.finishJob(j, ctx.Err())
-				return
-			case <-time.After(25 * time.Millisecond):
-			}
-		default: // shutting down
-			s.finishJob(j, errShuttingDown)
-			return
-		}
+	err := f.exec.Schedule(ctx, func(ctx context.Context) { f.executeJob(ctx, j, spec) })
+	if err == nil {
+		// Ran, or was skipped because ctx died while queued; in the
+		// skip case executeJob never got to finish the job.
+		err = ctx.Err()
 	}
+	f.finishJob(j, err)
 }
 
 // finishJob closes out a job that did not finish itself (skipped
 // while queued, canceled, refused by a closing queue). A no-op when
 // executeJob already reached a terminal state.
-func (s *Server) finishJob(j *jobs.Job, err error) {
+func (f *Front) finishJob(j *jobs.Job, err error) {
+	now := f.role.Now()
 	switch {
 	case err == nil:
-		j.Finish(s.cfg.now(), jobs.Failed, "job runner exited without a result", nil)
+		j.Finish(now, jobs.Failed, "job runner exited without a result", nil)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		j.Finish(s.cfg.now(), jobs.Canceled, err.Error(), nil)
+		j.Finish(now, jobs.Canceled, err.Error(), nil)
 	case errors.Is(err, errShuttingDown):
-		j.Finish(s.cfg.now(), jobs.Canceled, "server shutting down", nil)
+		j.Finish(now, jobs.Canceled, f.role.Noun+" shutting down", nil)
 	default:
-		j.Finish(s.cfg.now(), jobs.Failed, err.Error(), nil)
+		j.Finish(now, jobs.Failed, err.Error(), nil)
 	}
 }
 
-// executeJob runs inside the job's queue slot.
-func (s *Server) executeJob(ctx context.Context, j *jobs.Job, spec jobSpec) {
-	if !j.Start(s.cfg.now()) {
+// executeJob runs the job's body once the executor schedules it.
+func (f *Front) executeJob(ctx context.Context, j *jobs.Job, spec jobSpec) {
+	if !j.Start(f.role.Now()) {
 		return
 	}
 	var (
-		result []byte
+		result any
 		err    error
 	)
 	switch spec.kind {
 	case "simulate":
-		result, err = s.runSimulateJob(ctx, j, spec)
+		var ev CellEvent
+		result, ev, err = f.SimulateCell(ctx, spec.simulate, spec.seed, spec.noCache)
+		if err == nil {
+			j.CellDone(ev.Cached)
+			ev.RunSecondsEWMA = f.exec.RunSecondsEWMA()
+			j.Publish(ev)
+		}
 	case "sweep":
-		result, err = s.runSweepJob(ctx, j, spec)
+		result, err = f.SweepCells(ctx, spec.sweep, spec.noCache, f.exec.Compute(), func(ev CellEvent) {
+			if ev.Error == "" {
+				j.CellDone(ev.Cached)
+			}
+			j.Publish(ev)
+		})
 	case "diff":
-		result, err = s.runDiffJob(ctx, j, spec)
-	default:
-		err = fmt.Errorf("unknown job kind %q", spec.kind)
+		result, err = f.exec.Diff(ctx, spec.diff, spec.seed, func(i, total int, dc DiffCell) {
+			j.CellDone(false)
+			j.Publish(diffCellEvent{
+				Type: "diff_cell", Index: i, Done: i + 1, Total: total,
+				Config: dc.Config, Workload: dc.Workload, Seed: dc.Seed,
+				Checks: dc.Checks, OK: dc.OK, Findings: len(dc.Findings), Error: dc.Error,
+			})
+		})
 	}
 	if err != nil {
-		s.finishJob(j, err)
+		f.finishJob(j, err)
 		return
 	}
-	j.Finish(s.cfg.now(), jobs.Done, "", result)
+	// Compact marshal: the job result bytes are the same from either
+	// role.
+	b, err := json.Marshal(result)
+	if err != nil {
+		f.finishJob(j, err)
+		return
+	}
+	j.Finish(f.role.Now(), jobs.Done, "", b)
 }
 
-func (s *Server) runSimulateJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
-	req := spec.simulate
+// --- cells through the result cache -----------------------------------
+
+// resolveCell returns one cell's canonical stats, serving from the
+// content-addressed cache when possible and computing through compute
+// on a miss. Per-key singleflight means concurrent requests for the
+// same uncomputed cell compute once and share the bytes. A hit (memory,
+// disk, or coalesced onto a concurrent compute) is Cached with no
+// backend attribution, and sampled hits go to the audit lane. noCache
+// skips the cache on both read and write.
+func (f *Front) resolveCell(ctx context.Context, cell rcache.CellSpec, noCache bool, compute CellFunc) (CellOutcome, error) {
+	if noCache {
+		return compute(ctx, cell, true)
+	}
+	key := rcache.NewKey(cell)
+	var out CellOutcome
+	v, hit, err := f.cache.GetOrCompute(ctx, key, func(ctx context.Context) ([]byte, error) {
+		var err error
+		out, err = compute(ctx, cell, false)
+		return out.Stats, err
+	})
+	if err != nil {
+		return CellOutcome{}, err
+	}
+	if hit {
+		f.maybeAudit(key, cell, v)
+		return CellOutcome{Stats: v, Cached: true}, nil
+	}
+	return out, nil
+}
+
+// SimulateCell resolves one simulate request through the result cache
+// and shapes it as the simulate response plus its progress event. A
+// simulate job runs it on either role; a coordinator's sync
+// /v1/simulate does too.
+func (f *Front) SimulateCell(ctx context.Context, req SimulateRequest, seed uint64, noCache bool) (SimulateResponse, CellEvent, error) {
 	cell := rcache.CellSpec{
 		Config: req.Config, Workload: req.Workload, Workload2: req.Workload2,
-		Seed: spec.seed, Instructions: req.Instructions,
+		Seed: seed, Instructions: req.Instructions,
 	}
-	stats, cached, err := s.cachedCell(ctx, cell, spec.noCache)
+	out, err := f.resolveCell(ctx, cell, noCache, f.exec.Compute())
 	if err != nil {
-		return nil, err
+		return SimulateResponse{}, CellEvent{}, err
 	}
-	j.CellDone(cached)
-	snap, sum, err := Summarize(cell, stats)
+	snap, sum, err := Summarize(cell, out.Stats)
 	if err != nil {
-		return nil, err
+		return SimulateResponse{}, CellEvent{}, err
 	}
-	s.publishCell(j, 0, 1, cell, cached, sum, "")
+	f.countCell(out)
 	resp := SimulateResponse{
 		Config:       req.Config,
 		Workload:     req.Workload,
 		Workload2:    req.Workload2,
-		Seed:         spec.seed,
+		Seed:         seed,
 		Instructions: sum.Instructions,
 		Branches:     sum.Branches,
 		Cycles:       sum.Cycles,
@@ -374,154 +405,116 @@ func (s *Server) runSimulateJob(ctx context.Context, j *jobs.Job, spec jobSpec) 
 	if req.FullStats {
 		resp.Stats = snap
 	}
-	return json.Marshal(resp)
+	return resp, cellEvent(0, 1, cell, out, sum), nil
 }
 
-func (s *Server) runSweepJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
-	req := spec.sweep
+func (f *Front) countCell(out CellOutcome) {
+	f.CellsDone.Add(1)
+	if out.Cached {
+		f.CellsCached.Add(1)
+	}
+}
+
+// cellEvent builds the progress line of the cell at grid index i.
+func cellEvent(i, total int, cell rcache.CellSpec, out CellOutcome, sum CellSummary) CellEvent {
+	return CellEvent{
+		Type: "cell", Index: i, Done: i + 1, Total: total,
+		Config: cell.Config, Workload: cell.Workload, Workload2: cell.Workload2,
+		Seed: cell.Seed, Cached: out.Cached, Backend: out.Backend, Hedged: out.Hedged,
+		Instructions: sum.Instructions, Cycles: sum.Cycles,
+		MPKI: sum.MPKI, IPC: sum.IPC, Accuracy: sum.Accuracy,
+	}
+}
+
+// SweepCells resolves every cell of a normalized sweep grid through
+// the result cache and compute, and assembles the rows in grid order
+// (configs outermost, seeds innermost). A single box (Role.FanOut
+// false) resolves the cells one after another inside the job's one
+// queue slot; a fleet resolves them all at once, bounded by its
+// per-backend slots. onEvent (optional) fires once per finished cell,
+// in completion order, with Done monotonically increasing.
+//
+// Rows derive from canonical stats through Summarize and are placed by
+// grid position, not completion order, so a fleet sweep marshals
+// byte-identically to a single-box one.
+func (f *Front) SweepCells(ctx context.Context, req SweepRequest, noCache bool, compute CellFunc, onEvent func(CellEvent)) (SweepResponse, error) {
 	total := len(req.Configs) * len(req.Workloads) * len(req.Seeds)
-	resp := SweepResponse{Cells: make([]SweepCell, 0, total)}
+	rows := make([]SweepCell, total)
+	var done int
+	var evMu sync.Mutex // serializes onEvent so Done never regresses
+	resolve := func(i int, cell rcache.CellSpec) {
+		var ev CellEvent
+		rows[i], ev = f.sweepCell(ctx, i, total, cell, noCache, compute)
+		if onEvent != nil && ctx.Err() == nil {
+			evMu.Lock()
+			done++
+			ev.Done = done
+			ev.RunSecondsEWMA = f.exec.RunSecondsEWMA()
+			onEvent(ev)
+			evMu.Unlock()
+		}
+	}
+	var wg sync.WaitGroup
 	i := 0
 	for _, cfgName := range req.Configs {
 		for _, wl := range req.Workloads {
 			for _, seed := range req.Seeds {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				cell := rcache.CellSpec{
-					Config: cfgName, Workload: wl, Seed: seed, Instructions: req.Instructions,
-				}
-				row := SweepCell{Config: cfgName, Workload: wl, Seed: seed}
-				stats, cached, err := s.cachedCell(ctx, cell, spec.noCache)
+				cell := rcache.CellSpec{Config: cfgName, Workload: wl, Seed: seed, Instructions: req.Instructions}
 				switch {
-				case err != nil && ctx.Err() != nil:
-					// Cancellation, not a cell failure: stop the sweep.
-					return nil, ctx.Err()
-				case err != nil:
-					row.Error = err.Error()
-					resp.Errors++
-					s.sweepCellErrors.Add(1)
-					s.publishCell(j, i, total, cell, false, CellSummary{}, row.Error)
-				default:
-					_, sum, serr := Summarize(cell, stats)
-					if serr != nil {
-						return nil, serr
-					}
-					row.Instructions = sum.Instructions
-					row.Cycles = sum.Cycles
-					row.MPKI = sum.MPKI
-					row.IPC = sum.IPC
-					row.Accuracy = sum.Accuracy
-					j.CellDone(cached)
-					s.publishCell(j, i, total, cell, cached, sum, "")
+				case f.role.FanOut:
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						resolve(i, cell)
+					}(i)
+				case ctx.Err() == nil:
+					resolve(i, cell)
 				}
-				resp.Cells = append(resp.Cells, row)
 				i++
 			}
 		}
 	}
-	return json.Marshal(resp)
-}
-
-func (s *Server) runDiffJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
-	req := spec.diff
-	grid := equiv.Grid(req.Configs, req.Workloads, spec.seed, req.Instructions)
-	opts := equiv.Options{Checks: req.Checks, Perturb: req.Perturb}
-	resp := DiffResponse{Cells: make([]DiffCell, 0, len(grid))}
-	for i, cell := range grid {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cr := equiv.CheckCell(ctx, cell, opts)
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		dc := diffCellOf(cr)
-		if !dc.OK {
-			resp.Divergences++
-			s.diffDivergences.Add(1)
-		}
-		resp.Cells = append(resp.Cells, dc)
-		j.CellDone(false)
-		j.Publish(diffCellEvent{
-			Type: "diff_cell", Index: i, Done: i + 1, Total: len(grid),
-			Config: dc.Config, Workload: dc.Workload, Seed: dc.Seed,
-			Checks: dc.Checks, OK: dc.OK, Findings: len(dc.Findings), Error: dc.Error,
-		})
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return SweepResponse{}, err
 	}
-	return json.Marshal(resp)
+	resp := SweepResponse{Cells: rows}
+	for i := range rows {
+		if rows[i].Error != "" {
+			resp.Errors++
+		}
+	}
+	return resp, nil
 }
 
-// publishCell emits one cell progress event.
-func (s *Server) publishCell(j *jobs.Job, i, total int, cell rcache.CellSpec, cached bool, sum CellSummary, errMsg string) {
-	j.Publish(cellEvent{
-		Type: "cell", Index: i, Done: i + 1, Total: total,
-		Config: cell.Config, Workload: cell.Workload, Workload2: cell.Workload2,
-		Seed: cell.Seed, Cached: cached,
-		Instructions: sum.Instructions, Cycles: sum.Cycles,
-		MPKI: sum.MPKI, IPC: sum.IPC, Accuracy: sum.Accuracy,
-		Error:          errMsg,
-		RunSecondsEWMA: time.Duration(s.runNanosEWMA.Load()).Seconds(),
-	})
-}
-
-// computeCellStats runs one cell's simulation and renders the
-// canonical stats JSON — the bytes the result cache stores and the
-// equiv auditor re-derives. Truncated results are an error: a partial
-// run is neither cacheable nor a valid sweep row.
-func (s *Server) computeCellStats(ctx context.Context, cell rcache.CellSpec) ([]byte, error) {
-	res, err := s.runCellSim(ctx, cell)
+// sweepCell resolves the cell at grid index i into its row and its
+// progress event.
+func (f *Front) sweepCell(ctx context.Context, i, total int, cell rcache.CellSpec, noCache bool, compute CellFunc) (SweepCell, CellEvent) {
+	row := SweepCell{Config: cell.Config, Workload: cell.Workload, Seed: cell.Seed}
+	out, err := f.resolveCell(ctx, cell, noCache, compute)
+	var sum CellSummary
+	if err == nil {
+		_, sum, err = Summarize(cell, out.Stats)
+	}
 	if err != nil {
-		return nil, err
+		row.Error = err.Error()
+		if ctx.Err() == nil {
+			f.CellErrors.Add(1)
+		}
+		return row, CellEvent{Type: "cell", Index: i, Total: total,
+			Config: cell.Config, Workload: cell.Workload, Seed: cell.Seed, Error: row.Error}
 	}
-	if res.Truncated {
-		return nil, errors.New("truncated result is not cacheable")
-	}
-	s.instructions.Add(res.Instructions())
-	if res.FastCore {
-		s.fastCoreRuns.Add(1)
-	}
-	return res.StatsJSON()
-}
-
-// cachedCell returns the canonical stats JSON for one cell, serving
-// from the content-addressed cache when possible. cached reports that
-// no simulation ran for this call (memory/disk hit or coalesced onto
-// a concurrent identical compute). Sampled hits are handed to the
-// background equiv auditor. The caller already holds a queue slot, so
-// misses compute directly.
-func (s *Server) cachedCell(ctx context.Context, cell rcache.CellSpec, noCache bool) ([]byte, bool, error) {
-	return s.cachedCellVia(ctx, cell, noCache, func(ctx context.Context) ([]byte, error) {
-		return s.computeCellStats(ctx, cell)
-	})
-}
-
-// cachedCellVia is cachedCell with the miss path abstracted: the jobs
-// runner computes in its own queue slot, while /v1/cell acquires a
-// slot per miss (so cache hits never consume queue capacity).
-func (s *Server) cachedCellVia(ctx context.Context, cell rcache.CellSpec, noCache bool, compute func(ctx context.Context) ([]byte, error)) ([]byte, bool, error) {
-	if noCache {
-		b, err := compute(ctx)
-		return b, false, err
-	}
-	key := rcache.NewKey(cell)
-	v, hit, err := s.cache.GetOrCompute(ctx, key, compute)
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
-		s.maybeAudit(key, cell, v)
-	}
-	return v, hit, nil
+	row.Instructions, row.Cycles = sum.Instructions, sum.Cycles
+	row.MPKI, row.IPC, row.Accuracy = sum.MPKI, sum.IPC, sum.Accuracy
+	f.countCell(out)
+	return row, cellEvent(i, total, cell, out, sum)
 }
 
 // CellSummary is the headline numbers reconstructed from a canonical
 // stats payload — the cache stores only the canonical stats JSON (the
 // byte-exact form the equiv auditor re-derives), so API rows are a
-// pure function of it. Exported because the cluster coordinator
-// derives its aggregate rows from backend-returned stats through this
-// same function; sharing it is what makes a fleet sweep byte-identical
-// to a single-box one.
+// pure function of it. Sharing it between the roles is what makes a
+// fleet sweep byte-identical to a single-box one.
 type CellSummary struct {
 	Instructions int64
 	Branches     int64

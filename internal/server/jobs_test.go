@@ -643,10 +643,10 @@ func TestJobPoisonedCacheEntryCaughtByAuditor(t *testing.T) {
 	}
 
 	waitFor(t, 30*time.Second, func() bool {
-		return s.auditFailures.Load() >= 1
+		return s.AuditFailures.Load() >= 1
 	}, func() string {
 		return fmt.Sprintf("audits=%d failures=%d errors=%d dropped=%d",
-			s.audits.Load(), s.auditFailures.Load(), s.auditErrors.Load(), s.auditDropped.Load())
+			s.Audits.Load(), s.AuditFailures.Load(), s.AuditErrors.Load(), s.AuditDropped.Load())
 	})
 	if metricValue(t, ts, "zbpd_cache_audit_failures_total") < 1 {
 		t.Error("audit failure not exported on /metrics")

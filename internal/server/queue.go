@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // task is one queued unit of simulation work. run executes with the
@@ -16,14 +17,22 @@ type task struct {
 }
 
 // queue is a bounded worker pool: a fixed number of workers drain a
-// fixed-capacity channel. Submit never blocks on a full queue — it
-// reports the overflow so the HTTP layer can answer 429 — and close
-// drains everything already accepted before the workers exit, which is
+// channel. Submit never blocks on a full queue — it reports the
+// overflow so the HTTP layer can answer 429 — and close drains
+// everything already accepted before the workers exit, which is
 // exactly the graceful-shutdown contract: accepted work completes,
 // new work is refused.
+//
+// Admission counts tasks, not channel slots: a task is accepted while
+// fewer than workers+depth are accepted and unfinished. Counting
+// channel slots instead would also refuse a task whenever a worker had
+// not yet picked up the one before it — a full-looking queue with an
+// idle worker, which depends on scheduling, not on load.
 type queue struct {
-	tasks chan *task
-	wg    sync.WaitGroup
+	tasks   chan *task // capacity limit, so an admitted send never blocks
+	limit   int64      // workers + depth
+	pending atomic.Int64
+	wg      sync.WaitGroup
 
 	mu     sync.RWMutex
 	closed bool
@@ -32,7 +41,7 @@ type queue struct {
 // newQueue starts workers goroutines draining a queue of capacity
 // depth (waiting tasks beyond the ones being executed).
 func newQueue(workers, depth int) *queue {
-	q := &queue{tasks: make(chan *task, depth)}
+	q := &queue{tasks: make(chan *task, workers+depth), limit: int64(workers + depth)}
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go q.worker()
@@ -49,6 +58,7 @@ func (q *queue) worker() {
 		if t.ctx.Err() == nil {
 			t.run(t.ctx)
 		}
+		q.pending.Add(-1)
 		close(t.done)
 	}
 }
@@ -71,13 +81,13 @@ func (q *queue) submitWait(ctx context.Context, run func(ctx context.Context)) e
 		q.mu.RUnlock()
 		return errShuttingDown
 	}
-	select {
-	case q.tasks <- t:
-		q.mu.RUnlock()
-	default:
+	if q.pending.Add(1) > q.limit {
+		q.pending.Add(-1)
 		q.mu.RUnlock()
 		return errQueueFull
 	}
+	q.tasks <- t
+	q.mu.RUnlock()
 	<-t.done
 	return nil
 }

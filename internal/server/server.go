@@ -24,24 +24,25 @@
 // auditor recomputes a sampled fraction of cache hits through
 // internal/equiv and reports divergence — poisoned, stale, or
 // corrupted entries — as zbpd_cache_audit_failures_total.
+//
+// The request surface itself is the service front (front.go), shared
+// with the cluster coordinator. Server is the front's local executor:
+// the bounded queue, the workload cache and sim.RunPooled.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"zbp/internal/core"
-	"zbp/internal/jobs"
+	"zbp/internal/equiv"
 	"zbp/internal/metrics"
 	"zbp/internal/rcache"
 	"zbp/internal/runner"
@@ -166,59 +167,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the zbpd service state: the bounded queue, the shared
-// workload cache, the async job table with its result cache, and the
-// live metrics registry.
+// Server is zbpd: the shared front over the local executor — the
+// bounded queue and the shared workload cache.
 type Server struct {
-	cfg   Config
-	mz    *workload.Materializer
-	q     *queue
-	mux   *http.ServeMux
-	reg   *metrics.Registry
-	jobs  *jobs.Store
-	cache *rcache.Cache
+	*Front
+	cfg Config
+	mz  *workload.Materializer
+	q   *queue
 
-	// baseCtx parents every async job context; Drain/Close cancel it,
-	// which cooperatively stops running jobs and the audit loop.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	// asyncWG tracks job-runner goroutines and the audit loop so
-	// Close can wait for them before draining the queue.
-	asyncWG sync.WaitGroup
-
-	// Live service counters, exported via /metrics. Atomics because
-	// handlers bump them concurrently with registry snapshots.
-	requests        atomic.Int64
-	completed       atomic.Int64
-	rejected        atomic.Int64
-	canceled        atomic.Int64
-	failed          atomic.Int64
+	// Executor-side counters, exported via /metrics next to the
+	// front's.
 	instructions    atomic.Int64
 	inflight        atomic.Int64
-	sweepCellErrors atomic.Int64
 	diffDivergences atomic.Int64
-	// fastCoreRuns counts simulations that executed on the specialized
-	// no-sink replay loop (sim.Result.FastCore). The service never
-	// attaches an EventSink, so in a healthy deployment this tracks
-	// completed simulate runs plus sweep cells; a drop to zero means a
-	// code change knocked the hot path off the fast core.
+	// fastCoreRuns counts every simulation the service ran to
+	// completion (simulate runs, sweep cells, cache misses). It keeps
+	// its historical series name, zbpd_fast_core_runs_total, from when
+	// a second cycle loop existed; a resubmission served from the cache
+	// leaves it unchanged.
 	fastCoreRuns atomic.Int64
 
 	// runNanosEWMA tracks a smoothed per-task queue-slot duration (ns),
 	// feeding the Retry-After estimate on 429 responses.
 	runNanosEWMA atomic.Int64
-
-	// Async job counters (terminal-state transitions live in the jobs
-	// store; these are the submission-side tallies).
-	jobsSubmitted atomic.Int64
-
-	// Cache-audit pipeline state; see audit.go.
-	auditHits     atomic.Int64
-	audits        atomic.Int64
-	auditFailures atomic.Int64
-	auditErrors   atomic.Int64
-	auditDropped  atomic.Int64
-	auditCh       chan auditTask
 }
 
 // New builds a server and starts its worker pool plus the cache-audit
@@ -239,112 +210,64 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: trace dir: %w", err)
 		}
 	}
-	s.cache, err = rcache.New(rcache.Config{
-		MaxMemBytes:  s.cfg.CacheMemBytes,
-		Dir:          s.cfg.CacheDir,
-		MaxDiskBytes: s.cfg.CacheDiskBytes,
-	})
+	c := s.cfg
+	s.Front, err = NewFront(Role{
+		Service: "zbpd", Noun: "server", CachePrefix: "zbpd.cache_",
+		FailStatus:          http.StatusInternalServerError,
+		MaxBodyBytes:        c.MaxBodyBytes,
+		MaxInstructions:     c.MaxInstructions,
+		DefaultInstructions: c.DefaultInstructions,
+		MaxSweepCells:       c.MaxSweepCells,
+		DefaultTimeout:      c.DefaultTimeout,
+		MaxTimeout:          c.MaxTimeout,
+		MaxJobs:             c.MaxJobs,
+		JobTTL:              c.JobTTL,
+		Cache:               rcache.Config{MaxMemBytes: c.CacheMemBytes, Dir: c.CacheDir, MaxDiskBytes: c.CacheDiskBytes},
+		AuditEvery:          c.AuditEvery,
+		Now:                 c.now,
+	}, s)
 	if err != nil {
 		return nil, err
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.jobs = jobs.NewStore(jobs.Options{
-		MaxJobs: s.cfg.MaxJobs,
-		TTL:     s.cfg.JobTTL,
-		Now:     s.cfg.now,
-	})
-	s.q = newQueue(s.cfg.Workers, s.cfg.QueueDepth)
-	s.reg = s.buildRegistry()
-	if s.cfg.AuditEvery > 0 {
-		s.auditCh = make(chan auditTask, 8)
-		s.asyncWG.Add(1)
-		go s.auditLoop()
-	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/cell", s.handleCell)
-	s.mux.HandleFunc("POST /v1/diff", s.handleDiff)
-	s.mux.HandleFunc("POST /v1/jobs", s.handleJobCreate)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobDelete)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.q = newQueue(c.Workers, c.QueueDepth)
+	s.registerMetrics()
+	s.HandleFunc("POST /v1/cell", s.handleCell)
+	s.HandleFunc("POST /v1/diff", s.handleDiff)
+	s.HandleFunc("GET /healthz", s.handleHealthz)
 	return s, nil
 }
-
-// Handler returns the HTTP handler tree.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Drain begins shutdown of the async layer: new job submissions are
-// refused (503) and running jobs cancel cooperatively, which also
-// ends their event streams. Call it before http.Server.Shutdown so
-// long-lived streams do not hold the listener open for the whole
-// grace budget.
-func (s *Server) Drain() { s.baseCancel() }
 
 // Close stops accepting queue submissions and waits for every
 // accepted simulation — sync requests and async jobs — to finish.
 // Call it after http.Server.Shutdown has drained the handlers.
 func (s *Server) Close() {
-	s.baseCancel()
-	s.asyncWG.Wait()
+	s.Front.Close()
 	s.q.close()
 }
 
-// buildRegistry wires the service gauges. Everything is a snapshot-time
-// gauge over an atomic, so scrapes are race-free against live traffic.
-func (s *Server) buildRegistry() *metrics.Registry {
-	reg := metrics.NewRegistry()
-	reg.Label("service", "zbpd")
-	gauge := func(name string, v *atomic.Int64) {
-		reg.Gauge(name, func() float64 { return float64(v.Load()) })
+// registerMetrics adds the local executor's series to the front's.
+func (s *Server) registerMetrics() {
+	reg := s.Registry()
+	gauge := func(name string, v func() int64) {
+		reg.Gauge(name, func() float64 { return float64(v()) })
 	}
-	gauge("zbpd.requests_total", &s.requests)
-	gauge("zbpd.completed_total", &s.completed)
-	gauge("zbpd.rejected_total", &s.rejected)
-	gauge("zbpd.canceled_total", &s.canceled)
-	gauge("zbpd.failed_total", &s.failed)
-	gauge("zbpd.instructions_total", &s.instructions)
-	gauge("zbpd.inflight", &s.inflight)
-	gauge("zbpd.sweep_cell_errors_total", &s.sweepCellErrors)
-	gauge("zbpd.diff_divergences_total", &s.diffDivergences)
-	gauge("zbpd.fast_core_runs_total", &s.fastCoreRuns)
-	reg.Gauge("zbpd.run_seconds_ewma", func() float64 {
-		return time.Duration(s.runNanosEWMA.Load()).Seconds()
-	})
-	reg.Gauge("zbpd.queue_depth", func() float64 { return float64(s.q.depth()) })
-	reg.Gauge("zbpd.queue_capacity", func() float64 { return float64(s.cfg.QueueDepth) })
-	reg.Gauge("zbpd.workers", func() float64 { return float64(s.cfg.Workers) })
-	reg.Gauge("zbpd.mat_traces", func() float64 { return float64(s.mz.Count()) })
-	reg.Gauge("zbpd.mat_bytes", func() float64 { return float64(s.mz.FootprintBytes()) })
-
-	// Async job table.
-	gauge("zbpd.jobs_submitted_total", &s.jobsSubmitted)
-	fn := func(name string, f func() float64) { reg.Gauge(name, f) }
-	fn("zbpd.jobs_active", func() float64 { return float64(s.jobs.Active()) })
-	fn("zbpd.jobs_table", func() float64 { return float64(s.jobs.Len()) })
-	fn("zbpd.jobs_done_total", func() float64 { return float64(s.jobs.DoneCount()) })
-	fn("zbpd.jobs_failed_total", func() float64 { return float64(s.jobs.FailedCount()) })
-	fn("zbpd.jobs_canceled_total", func() float64 { return float64(s.jobs.CanceledCount()) })
-	fn("zbpd.jobs_evicted_total", func() float64 { return float64(s.jobs.Evicted()) })
-
-	// Content-addressed result cache + its equiv-backed auditor.
-	fn("zbpd.cache_hits_total", func() float64 { return float64(s.cache.Hits()) })
-	fn("zbpd.cache_misses_total", func() float64 { return float64(s.cache.Misses()) })
-	fn("zbpd.cache_puts_total", func() float64 { return float64(s.cache.Puts()) })
-	fn("zbpd.cache_evictions_total", func() float64 { return float64(s.cache.Evictions()) })
-	fn("zbpd.cache_coalesced_total", func() float64 { return float64(s.cache.Coalesced()) })
-	fn("zbpd.cache_disk_hits_total", func() float64 { return float64(s.cache.DiskHits()) })
-	fn("zbpd.cache_disk_errors_total", func() float64 { return float64(s.cache.DiskErrors()) })
-	fn("zbpd.cache_entries", func() float64 { return float64(s.cache.Len()) })
-	fn("zbpd.cache_bytes", func() float64 { return float64(s.cache.MemBytes()) })
-	gauge("zbpd.cache_audits_total", &s.audits)
-	gauge("zbpd.cache_audit_failures_total", &s.auditFailures)
-	gauge("zbpd.cache_audit_errors_total", &s.auditErrors)
-	gauge("zbpd.cache_audit_dropped_total", &s.auditDropped)
-	return reg
+	gauge("zbpd.instructions_total", s.instructions.Load)
+	gauge("zbpd.inflight", s.inflight.Load)
+	gauge("zbpd.sweep_cell_errors_total", s.CellErrors.Load)
+	gauge("zbpd.diff_divergences_total", s.diffDivergences.Load)
+	gauge("zbpd.fast_core_runs_total", s.fastCoreRuns.Load)
+	reg.Gauge("zbpd.run_seconds_ewma", s.RunSecondsEWMA)
+	gauge("zbpd.queue_depth", func() int64 { return int64(s.q.depth()) })
+	gauge("zbpd.queue_capacity", func() int64 { return int64(s.cfg.QueueDepth) })
+	gauge("zbpd.workers", func() int64 { return int64(s.cfg.Workers) })
+	gauge("zbpd.mat_traces", func() int64 { return int64(s.mz.Count()) })
+	gauge("zbpd.mat_bytes", func() int64 { return int64(s.mz.FootprintBytes()) })
+	gauge("zbpd.cache_puts_total", s.cache.Puts)
+	gauge("zbpd.cache_evictions_total", s.cache.Evictions)
+	gauge("zbpd.cache_coalesced_total", s.cache.Coalesced)
+	gauge("zbpd.cache_disk_hits_total", s.cache.DiskHits)
+	gauge("zbpd.cache_disk_errors_total", s.cache.DiskErrors)
+	gauge("zbpd.cache_bytes", s.cache.MemBytes)
 }
 
 // --- request/response schemas -----------------------------------------
@@ -421,54 +344,11 @@ type SweepResponse struct {
 	Errors int `json:"errors"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
+// --- compute ----------------------------------------------------------
 
-// --- handlers ---------------------------------------------------------
-
-// normalizeSimulate applies request defaults in place and validates
-// against the server's limits, returning the resolved seed. Shared by
-// the synchronous handler and async job submission, so both paths
-// accept exactly the same requests.
-func (s *Server) normalizeSimulate(req *SimulateRequest) (uint64, error) {
-	if req.Config == "" {
-		req.Config = "z15"
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	if req.Instructions == 0 {
-		req.Instructions = s.cfg.DefaultInstructions
-	}
-	if _, err := core.ByName(req.Config); err != nil {
-		return 0, err
-	}
-	if err := s.resolveWorkloads(&req.Workload, &req.Workload2); err != nil {
-		return 0, err
-	}
-	if req.Instructions < 0 || req.Instructions > s.cfg.MaxInstructions {
-		return 0, fmt.Errorf("instructions %d out of range [1, %d]", req.Instructions, s.cfg.MaxInstructions)
-	}
-	return seed, nil
-}
-
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req SimulateRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	seed, err := s.normalizeSimulate(&req)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
+// Simulate runs one sync simulation in a queue slot on a pooled
+// machine. Unlike a simulate job it bypasses the result cache.
+func (s *Server) Simulate(ctx context.Context, req SimulateRequest, seed uint64) (SimulateResponse, error) {
 	spec := rcache.CellSpec{
 		Config: req.Config, Workload: req.Workload, Workload2: req.Workload2,
 		Seed: seed, Instructions: req.Instructions,
@@ -477,11 +357,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		res    sim.Result
 		runErr error
 	)
-	submitErr := s.enqueue(ctx, func(ctx context.Context) {
+	if err := s.enqueue(ctx, func(ctx context.Context) {
 		res, runErr = s.runCellSim(ctx, spec)
-	})
-	if s.replyQueueError(w, submitErr) {
-		return
+	}); err != nil {
+		return SimulateResponse{}, err
 	}
 	if runErr == nil && ctx.Err() != nil {
 		// The task was skipped while queued: the deadline or the client
@@ -489,14 +368,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		runErr = ctx.Err()
 	}
 	if runErr != nil {
-		s.replyRunError(w, runErr)
-		return
+		return SimulateResponse{}, runErr
 	}
-	s.completed.Add(1)
 	s.instructions.Add(res.Instructions())
-	if res.FastCore {
-		s.fastCoreRuns.Add(1)
-	}
+	s.fastCoreRuns.Add(1)
 	resp := SimulateResponse{
 		Config:       req.Config,
 		Workload:     req.Workload,
@@ -514,7 +389,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		snap := res.StatsSnapshot()
 		resp.Stats = &snap
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // runCellSim materializes the cell's workload(s) through the shared
@@ -544,71 +419,42 @@ func (s *Server) runCellSim(ctx context.Context, spec rcache.CellSpec) (sim.Resu
 	return sim.RunPooled(ctx, sim.ForGeneration(gen), srcs, 0)
 }
 
-// normalizeSweep applies sweep defaults in place and validates,
-// returning the grid size. Shared by the sync handler and async job
-// submission.
-func (s *Server) normalizeSweep(req *SweepRequest) (int, error) {
-	if len(req.Configs) == 0 {
-		req.Configs = []string{"z15"}
+// computeCellStats runs one cell's simulation and renders the
+// canonical stats JSON — the bytes the result cache stores and the
+// equiv auditor re-derives. Truncated results are an error: a partial
+// run is neither cacheable nor a valid sweep row.
+func (s *Server) computeCellStats(ctx context.Context, cell rcache.CellSpec) ([]byte, error) {
+	res, err := s.runCellSim(ctx, cell)
+	if err != nil {
+		return nil, err
 	}
-	if len(req.Seeds) == 0 {
-		req.Seeds = []uint64{42}
+	if res.Truncated {
+		return nil, errors.New("truncated result is not cacheable")
 	}
-	if req.Instructions == 0 {
-		req.Instructions = s.cfg.DefaultInstructions
-	}
-	if req.Instructions < 0 || req.Instructions > s.cfg.MaxInstructions {
-		return 0, fmt.Errorf("instructions %d out of range [1, %d]", req.Instructions, s.cfg.MaxInstructions)
-	}
-	cells := len(req.Configs) * len(req.Workloads) * len(req.Seeds)
-	if cells == 0 {
-		return 0, errors.New("empty sweep grid: need workloads")
-	}
-	if cells > s.cfg.MaxSweepCells {
-		return 0, fmt.Errorf("sweep grid has %d cells, limit %d", cells, s.cfg.MaxSweepCells)
-	}
-	if err := s.resolveWorkloads(sliceRefs(req.Workloads)...); err != nil {
-		return 0, err
-	}
-	for _, name := range req.Configs {
-		if _, err := core.ByName(name); err != nil {
-			return 0, err
-		}
-	}
-	return cells, nil
+	s.instructions.Add(res.Instructions())
+	s.fastCoreRuns.Add(1)
+	return res.StatsJSON()
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req SweepRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	cells, err := s.normalizeSweep(&req)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	cfgs := make([]sim.Config, len(req.Configs))
-	for i, name := range req.Configs {
-		gen, _ := core.ByName(name) // validated above
-		cfgs[i] = sim.ForGeneration(gen)
-	}
-
+// Sweep runs a sync sweep grid in one queue slot through the runner
+// pool, bypassing the result cache.
+func (s *Server) Sweep(ctx context.Context, req SweepRequest) (SweepResponse, error) {
 	type cellKey struct {
 		config   string
 		workload string
 		seed     uint64
 	}
+	cells := len(req.Configs) * len(req.Workloads) * len(req.Seeds)
 	keys := make([]cellKey, 0, cells)
 	jobs := make([]runner.Job, 0, cells)
-	for ci, cfg := range cfgs {
+	for _, name := range req.Configs {
+		gen, _ := core.ByName(name) // validated by the front
+		cfg := sim.ForGeneration(gen)
 		for _, wl := range req.Workloads {
 			for _, seed := range req.Seeds {
-				wl, seed := wl, seed
-				keys = append(keys, cellKey{req.Configs[ci], wl, seed})
+				keys = append(keys, cellKey{name, wl, seed})
 				jobs = append(jobs, runner.Job{
-					Name:   fmt.Sprintf("%s/%s/%d", req.Configs[ci], wl, seed),
+					Name:   fmt.Sprintf("%s/%s/%d", name, wl, seed),
 					Config: cfg,
 					// Lazy source: materialization happens inside the
 					// worker under the request context's queue slot,
@@ -627,24 +473,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
 	var results []runner.Result
-	submitErr := s.enqueue(ctx, func(ctx context.Context) {
+	if err := s.enqueue(ctx, func(ctx context.Context) {
 		// The sweep occupies exactly one queue slot; Parallelism 1
 		// keeps total simulation concurrency equal to the worker
 		// count no matter how many cells the grid has.
 		pool := runner.Pool{Parallelism: 1}
 		results = pool.Run(ctx, jobs)
-	})
-	if s.replyQueueError(w, submitErr) {
-		return
+	}); err != nil {
+		return SweepResponse{}, err
 	}
 	if results == nil {
 		// Skipped while queued.
-		s.replyRunError(w, ctx.Err())
-		return
+		return SweepResponse{}, ctx.Err()
 	}
 	resp := SweepResponse{Cells: make([]SweepCell, len(results))}
 	for i, r := range results {
@@ -662,17 +503,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if r.Err != nil {
 			cell.Error = r.Err.Error()
 			resp.Errors++
-			s.sweepCellErrors.Add(1)
-		} else if r.Res.FastCore {
+			s.CellErrors.Add(1)
+		} else {
 			s.fastCoreRuns.Add(1)
 		}
+		s.instructions.Add(cell.Instructions)
 		resp.Cells[i] = cell
 	}
-	s.completed.Add(1)
-	for _, c := range resp.Cells {
-		s.instructions.Add(c.Instructions)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // Health is the GET /healthz body: liveness plus the load signals a
@@ -691,40 +529,17 @@ type Health struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, Health{
+	WriteJSON(w, http.StatusOK, Health{
 		Status:         "ok",
 		Workers:        s.cfg.Workers,
 		QueueDepth:     s.q.depth(),
 		QueueCapacity:  s.cfg.QueueDepth,
 		Inflight:       s.inflight.Load(),
-		RunSecondsEWMA: time.Duration(s.runNanosEWMA.Load()).Seconds(),
+		RunSecondsEWMA: s.RunSecondsEWMA(),
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.Snapshot().WritePrometheus(w); err != nil {
-		// Headers are gone; nothing more to do than drop the
-		// connection.
-		return
-	}
-}
-
-// --- plumbing ---------------------------------------------------------
-
-// requestContext derives the simulation context: the request's own
-// context (canceled on client disconnect and server shutdown) bounded
-// by the effective timeout.
-func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	timeout := s.cfg.DefaultTimeout
-	if timeoutMs > 0 {
-		timeout = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	return context.WithTimeout(r.Context(), timeout)
-}
+// --- the local executor -----------------------------------------------
 
 // enqueue pushes run through the bounded queue and tracks the inflight
 // gauge around it. Executed task durations feed the EWMA behind the
@@ -779,112 +594,71 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// decode parses a size-limited JSON body, answering 400/413 itself.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+// Admit admits everything: the bounded queue is the single box's
+// backpressure.
+func (s *Server) Admit(int) (int, error) { return 0, nil }
+
+// RetryAfter is the queued-work estimate.
+func (s *Server) RetryAfter() int { return s.retryAfterSeconds() }
+
+// RunSecondsEWMA is the smoothed per-queue-slot task duration.
+func (s *Server) RunSecondsEWMA() float64 {
+	return time.Duration(s.runNanosEWMA.Load()).Seconds()
+}
+
+// Schedule runs a job's body in a queue slot. The job table is the
+// admission control for async work, so a momentarily full queue is
+// waited out with a short backoff rather than surfaced as 429 — the
+// client already holds a job ID.
+func (s *Server) Schedule(ctx context.Context, run func(ctx context.Context)) error {
+	for {
+		err := s.enqueue(ctx, run)
+		if !errors.Is(err, errQueueFull) {
+			return err
 		}
-		return false
-	}
-	return true
-}
-
-// replyQueueError answers queue overflow/shutdown submissions; it
-// reports whether it wrote a response.
-func (s *Server) replyQueueError(w http.ResponseWriter, err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, errQueueFull):
-		s.rejected.Add(1)
-		// Derived from the queued-work estimate, not a constant: a full
-		// queue of minute-long sweeps and a full queue of millisecond
-		// simulations deserve very different retry advice.
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "job queue full, retry later"})
-		return true
-	default:
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
-		return true
-	}
-}
-
-// replyRunError maps simulation errors onto status codes.
-func (s *Server) replyRunError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.canceled.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "simulation deadline exceeded"})
-	case errors.Is(err, context.Canceled):
-		// Client disconnect or server shutdown; the response is mostly
-		// for the log.
-		s.canceled.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "request canceled"})
-	default:
-		s.failed.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-	}
-}
-
-func (s *Server) fail(w http.ResponseWriter, code int, err error) {
-	s.failed.Add(1)
-	writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
-// resolveWorkloads validates workload names before a request consumes
-// a queue slot, rewriting them in place: generator names must be in the
-// registry, and path-backed names (file:/spec:) are gated on the
-// TraceDir allowlist and rewritten to their confined absolute form so
-// the cache, materializer, and audit all see one canonical name. Empty
-// names in the tail (unset workload2) are ignored, but the first name
-// is required.
-func (s *Server) resolveWorkloads(names ...*string) error {
-	if len(names) == 0 || *names[0] == "" {
-		return errors.New("missing workload")
-	}
-	reg := workload.Registry()
-	for _, np := range names {
-		name := *np
-		switch {
-		case name == "":
-		case workload.PathBacked(name):
-			resolved, err := s.resolveTraceName(name)
-			if err != nil {
-				return err
-			}
-			*np = resolved
-		default:
-			if _, ok := reg[name]; !ok {
-				return fmt.Errorf("unknown workload %q (have %v)", name, workload.Names())
-			}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(25 * time.Millisecond):
 		}
 	}
-	return nil
 }
 
-// sliceRefs adapts a name slice for resolveWorkloads so rewrites land
-// back in the request.
-func sliceRefs(names []string) []*string {
-	refs := make([]*string, len(names))
-	for i := range names {
-		refs[i] = &names[i]
+// Compute computes a cache miss directly: a job already holds its queue
+// slot.
+func (s *Server) Compute() CellFunc {
+	return func(ctx context.Context, cell rcache.CellSpec, _ bool) (CellOutcome, error) {
+		b, err := s.computeCellStats(ctx, cell)
+		return CellOutcome{Stats: b}, err
 	}
-	return refs
 }
 
-// resolveTraceName confines one path-backed workload name to the
-// TraceDir allowlist and returns it with the path absolutized. Spec
-// documents are additionally opened so every trace file they reference
-// is confined too — the spec itself being inside the directory does
-// not make its pointers trustworthy.
-func (s *Server) resolveTraceName(name string) (string, error) {
+// Audit recomputes a sampled hit from scratch on a fresh machine
+// through equiv.Audit — a deliberately separate path from the one that
+// filled the cache.
+func (s *Server) Audit(ctx context.Context, cell rcache.CellSpec, stats []byte) ([]string, error) {
+	ac := equiv.AuditCell{
+		Config: cell.Config, Workload: cell.Workload, Workload2: cell.Workload2,
+		Seed: cell.Seed, Instructions: cell.Instructions,
+	}
+	findings, err := equiv.Audit(ctx, ac, stats)
+	if err != nil {
+		return nil, fmt.Errorf("cell %s: %w", ac.Name(), err)
+	}
+	out := make([]string, len(findings))
+	for i, f := range findings {
+		out[i] = f.Cell + ": " + f.Detail
+	}
+	return out, nil
+}
+
+// ResolvePath confines one path-backed workload name to the TraceDir
+// allowlist and returns it with the path absolutized, so the cache,
+// materializer, and audit all see one canonical name. Spec documents
+// are additionally opened so every trace file they reference is
+// confined too — the spec itself being inside the directory does not
+// make its pointers trustworthy.
+func (s *Server) ResolvePath(name string) (string, error) {
 	if s.cfg.TraceDir == "" {
 		return "", errors.New("file-backed workloads are disabled (start the server with a trace dir)")
 	}
@@ -923,12 +697,4 @@ func (s *Server) resolveTracePath(ref string) (string, error) {
 		return "", fmt.Errorf("trace path %q escapes the allowlisted trace directory", ref)
 	}
 	return abs, nil
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

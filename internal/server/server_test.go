@@ -232,7 +232,7 @@ func TestQueueFull429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if got := s.rejected.Load(); got != 1 {
+	if got := s.Rejected.Load(); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
 	}
 

@@ -231,15 +231,11 @@ func appendBool(b []byte, v bool) []byte {
 // I-cache fills. Call it before Run. A nil sink is a no-op; when no
 // sink is set the hot path pays nothing beyond one nil hook check per
 // event site (verified by the capacity-sweep allocation benchmark).
-//
-// Attaching a sink also switches Run/RunCtx from the specialized fast
-// loop to the instrumented one (see fast.go); results stay
-// byte-identical either way.
+// Attaching a sink never changes the results (TestEventSinkToggle).
 func (s *Sim) SetEventSink(sink EventSink) {
 	if sink == nil {
 		return
 	}
-	s.instrumented = true
 	c := s.core
 	c.SetPredictHook(func(p core.Prediction) {
 		sink.Emit(Event{Cycle: p.PresentedAt, Kind: EvPredict, Thread: p.Thread,

@@ -141,8 +141,57 @@ func TestRunCtxCancelStopsMidRun(t *testing.T) {
 		t.Error("canceled run retired the full trace")
 	}
 	// Generous bound: the run itself needs ~100x longer than the
-	// deadline, so finishing quickly proves cancellation worked.
+	// deadline, so finishing quickly proves cancellation worked. The
+	// exact guarantee, in cycles, is TestRunCtxCancelWithinPollWindow.
 	if elapsed > 2*time.Second {
 		t.Errorf("cancellation took %v", elapsed)
+	}
+}
+
+// cancelAfter is a trace source that cancels its run's context once it
+// has handed out n records, noting the machine's clock at that moment.
+type cancelAfter struct {
+	trace.Source
+	n      int
+	s      *Sim
+	cancel context.CancelFunc
+	at     int64 // clock when cancel fired; -1 until then
+}
+
+func (c *cancelAfter) Next() (trace.Rec, bool) {
+	if c.n--; c.n == 0 {
+		c.at = c.s.core.Clock()
+		c.cancel()
+	}
+	return c.Source.Next()
+}
+
+// TestRunCtxCancelWithinPollWindow pins the bound the loop guarantees,
+// independent of wall time: a run canceled mid-flight stops within
+// ctxCheckMask+1 cycles of the cancel.
+func TestRunCtxCancelWithinPollWindow(t *testing.T) {
+	for _, after := range []int{1, 5000, 123457} {
+		src, err := workload.Make("lspr", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		ca := &cancelAfter{Source: trace.Limit(src, 1_000_000), n: after, cancel: cancel, at: -1}
+		ca.s = New(Z15(), []trace.Source{ca})
+		res, err := ca.s.RunCtx(ctx, 0)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel after %d records: err = %v, want context.Canceled", after, err)
+		}
+		if ca.at < 0 {
+			t.Fatalf("cancel after %d records never fired", after)
+		}
+		if !res.Truncated {
+			t.Errorf("cancel after %d records: run not marked Truncated", after)
+		}
+		if late := res.Cycles - ca.at; late > ctxCheckMask+1 {
+			t.Errorf("cancel after %d records at cycle %d: run stopped at cycle %d, %d cycles late (bound %d)",
+				after, ca.at, res.Cycles, late, ctxCheckMask+1)
+		}
 	}
 }

@@ -68,23 +68,15 @@ type Result struct {
 	// the work done so far, but its headline metrics describe a prefix
 	// of the workload, not the whole trace.
 	Truncated bool
-	// FastCore reports that the run executed on the specialized
-	// replay loop (no EventSink attached) rather than the
-	// instrumented one. Diagnostic only: like Truncated it is
-	// deliberately absent from the stats JSON schema, because fast
-	// and instrumented runs of the same workload must stay
-	// byte-identical (enforced by the fast-vs-instrumented equiv
-	// pair).
-	FastCore bool
-	Cycles   int64
-	Threads  []frontend.Stats
-	Core     core.Stats
-	BTB1     btb.Stats
-	BTB2     btb.Stats
-	Dir      dirpred.Stats
-	Tgt      tgt.Stats
-	CPred    cpred.Stats
-	IC       icache.Stats
+	Cycles    int64
+	Threads   []frontend.Stats
+	Core      core.Stats
+	BTB1      btb.Stats
+	BTB2      btb.Stats
+	Dir       dirpred.Stats
+	Tgt       tgt.Stats
+	CPred     cpred.Stats
+	IC        icache.Stats
 }
 
 // Instructions returns total retired instructions across threads.
@@ -147,11 +139,6 @@ type Sim struct {
 	core    *core.Core
 	ic      *icache.Hierarchy
 	threads []*frontend.Thread
-	// instrumented pins Run/RunCtx to the instrumented cycle loop.
-	// SetEventSink sets it (event hooks need the hook-dispatching
-	// loop's pacing guarantees observable per cycle); tests force it
-	// via ForceInstrumentedCore to prove both loops byte-identical.
-	instrumented bool
 
 	// own is the storage behind the pointers above, kept across
 	// Reset: the core and cache tables, the per-thread front ends, and
@@ -179,8 +166,8 @@ func New(cfg Config, srcs []trace.Source) *Sim {
 // it. Every table is re-sliced from the storage the machine already
 // owns and cleared, so a machine that once held a larger config
 // allocates nothing for its tables; only a table that must grow is
-// allocated. Clocks, queues, statistics, hooks, observers, an attached
-// EventSink and the instrumented-loop pin are all cleared. A run on a
+// allocated. Clocks, queues, statistics, hooks, observers and an
+// attached EventSink are all cleared. A run on a
 // reset machine is byte-identical to one on a fresh machine (the
 // fresh-vs-reused-machine equiv pair).
 func (s *Sim) Reset(cfg Config, srcs []trace.Source) {
@@ -300,39 +287,42 @@ const ctxCheckMask = 4096 - 1
 //   - live-lock: (partial result with Truncated set, ErrLiveLock)
 //
 // Cancellation is cooperative — the context is polled every 4096
-// cycles — so a canceled simulation stops within microseconds without
-// leaking its goroutine.
+// cycles — so a canceled simulation stops within ctxCheckMask+1
+// cycles without leaking its goroutine.
 //
-// RunCtx selects the execution core automatically: with no EventSink
-// attached it runs the specialized fast loop (see fast.go); attaching
-// a sink falls back to this instrumented loop. Both produce
-// byte-identical results — the choice is purely a throughput
-// optimization, marked on Result.FastCore.
+// This is the only cycle loop, with or without an EventSink: the
+// hooks live in the core, front end and I-cache, so the loop itself
+// needs no instrumentation. Its per-cycle bookkeeping is kept to plain
+// integer loads: thread progress is read through Thread.Instructions
+// rather than a copy of the whole frontend.Stats struct, and the
+// thread set is unrolled for the ST and SMT2 shapes (the only two
+// core.MaxThreads allows), so the hot spine has no slice range.
 func (s *Sim) RunCtx(ctx context.Context, maxCycles int64) (Result, error) {
-	if !s.instrumented {
-		return s.runFast(ctx, maxCycles)
-	}
 	cancel := ctx.Done()
+	c := s.core
 	var lastInstr int64
 	var lastProgress int64
 	truncated := false
 	var runErr error
+
+	t0 := s.threads[0]
+	t1 := t0
+	smt := len(s.threads) > 1
+	if smt {
+		t1 = s.threads[1]
+	}
+
 loop:
 	for {
-		done := true
-		for _, t := range s.threads {
-			if !t.Done() {
-				done = false
-			}
-		}
-		if done {
+		if t0.Done() && t1.Done() {
 			break
 		}
-		if maxCycles > 0 && s.core.Clock() >= maxCycles {
+		clk := c.Clock()
+		if maxCycles > 0 && clk >= maxCycles {
 			truncated = true
 			break
 		}
-		if cancel != nil && s.core.Clock()&ctxCheckMask == 0 {
+		if cancel != nil && clk&ctxCheckMask == 0 {
 			select {
 			case <-cancel:
 				truncated = true
@@ -341,17 +331,18 @@ loop:
 			default:
 			}
 		}
-		s.core.Cycle()
-		now := s.core.Clock()
-		for _, t := range s.threads {
-			t.Step(now)
+		c.Cycle()
+		now := c.Clock()
+		t0.Step(now)
+		if smt {
+			t1.Step(now)
 		}
 		if s.ic != nil {
 			s.ic.Tick(now)
 		}
-		var instr int64
-		for _, t := range s.threads {
-			instr += t.Stats().Instructions
+		instr := t0.Instructions()
+		if smt {
+			instr += t1.Instructions()
 		}
 		if instr > lastInstr {
 			lastInstr = instr
