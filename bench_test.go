@@ -348,7 +348,7 @@ func drain(b *testing.B, src trace.Source, n int) uint64 {
 // pre-validated columns.
 //
 // The packed sub-benchmark drains through the concrete cursor — the
-// monomorphized path the fast core's front end actually takes; the
+// monomorphized path the cycle loop's front end actually takes; the
 // packed-iface variant keeps the old Source-interface hop measurable
 // so the dispatch cost stays visible in the BENCH_*.json trajectory.
 func BenchmarkPackedReplay(b *testing.B) {
