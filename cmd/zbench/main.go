@@ -1,7 +1,9 @@
 // Command zbench measures the repository's headline performance
 // numbers — packed-replay ns/instr, the Source-interface dispatch tax,
 // streaming generation cost, full-simulation ns/instr per machine
-// generation, and coordinator sweep throughput over 1/2/4 backends —
+// generation, the reset of a warm machine and one short pooled cell
+// per generation, and coordinator sweep throughput over 1/2/4
+// backends —
 // and writes them as one schema-versioned JSON document.
 //
 // The intended workflow is a trajectory: each performance PR runs
@@ -130,19 +132,39 @@ func measure(scale int, seed uint64, wl, only string) ([]benchEntry, error) {
 		return nil, err
 	}
 
+	cell, err := workload.MakePacked(wl, seed, cellInstr)
+	if err != nil {
+		return nil, err
+	}
+
+	// instr is the per-operation instruction count; zero for entries
+	// that retire none (a reset), which then report no ns/instr.
 	type bench struct {
-		name string
-		fn   func(b *testing.B)
+		name  string
+		instr int
+		note  string
+		fn    func(b *testing.B)
 	}
 	benches := []bench{
-		{"replay/packed", func(b *testing.B) { replayPacked(b, p, scale) }},
-		{"replay/packed-iface", func(b *testing.B) { replayIface(b, p, scale) }},
-		{"replay/streaming", func(b *testing.B) { replayStreaming(b, wl, seed, scale) }},
+		{"replay/packed", scale, "", func(b *testing.B) { replayPacked(b, p, scale) }},
+		{"replay/packed-iface", scale, "", func(b *testing.B) { replayIface(b, p, scale) }},
+		{"replay/streaming", scale, "", func(b *testing.B) { replayStreaming(b, wl, seed, scale) }},
 	}
 	for _, gen := range core.Generations() {
 		cfg := sim.ForGeneration(gen)
-		name := "sim/" + gen.Name
-		benches = append(benches, bench{name, func(b *testing.B) { simPacked(b, cfg, p, scale) }})
+		benches = append(benches, bench{"sim/" + gen.Name, scale, "", func(b *testing.B) { simPacked(b, cfg, p, scale) }})
+	}
+	for _, gen := range core.Generations() {
+		cfg := sim.ForGeneration(gen)
+		benches = append(benches, bench{"reset/" + gen.Name, 0,
+			"(*Sim).Reset to this generation of a warm machine that has run a z15 cell; ns, B and allocs per reset",
+			func(b *testing.B) { resetWarm(b, cfg, cell) }})
+	}
+	for _, gen := range core.Generations() {
+		cfg := sim.ForGeneration(gen)
+		benches = append(benches, bench{"cell/" + gen.Name, cellInstr,
+			fmt.Sprintf("one %d-instruction sim.RunPooled cell, machine reset included (a sweep-short cell)", cellInstr),
+			func(b *testing.B) { cellPooled(b, cfg, cell) }})
 	}
 
 	var entries []benchEntry
@@ -155,15 +177,19 @@ func measure(scale int, seed uint64, wl, only string) ([]benchEntry, error) {
 		if r.N == 0 {
 			return nil, fmt.Errorf("%s: benchmark did not run", bm.name)
 		}
-		entries = append(entries, benchEntry{
+		e := benchEntry{
 			Name:         bm.name,
-			Instructions: scale,
+			Instructions: bm.instr,
 			Iterations:   r.N,
 			WallNsPerOp:  r.NsPerOp(),
-			NsPerInstr:   float64(r.NsPerOp()) / float64(scale),
 			AllocsPerOp:  r.AllocsPerOp(),
 			BytesPerOp:   r.AllocedBytesPerOp(),
-		})
+			Note:         bm.note,
+		}
+		if bm.instr > 0 {
+			e.NsPerInstr = float64(r.NsPerOp()) / float64(bm.instr)
+		}
+		entries = append(entries, e)
 	}
 	cl, err := clusterEntries(scale, seed, only)
 	if err != nil {
@@ -545,6 +571,44 @@ func replayStreaming(b *testing.B, wl string, seed uint64, n int) {
 	}
 	if sum == 0 {
 		b.Fatal("replay checksum is zero")
+	}
+}
+
+// cellInstr is the per-cell instruction count of the cell/<gen>
+// entries, the size of a sweep-short benchmark cell.
+const cellInstr = 5_000
+
+// resetWarm times (*Sim).Reset of a machine that has already run a
+// z15 cell, the largest generation, so every table has its storage
+// and holds stale contents: the cost a pooled cell pays before its
+// first cycle.
+func resetWarm(b *testing.B, cfg sim.Config, p *trace.Packed) {
+	cur := p.Cursor()
+	m := sim.New(sim.Z15(), []trace.Source{&cur})
+	if _, err := m.RunCtx(context.Background(), 0); err != nil {
+		b.Fatal(err)
+	}
+	srcs := []trace.Source{&cur}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Reset(cfg, srcs)
+	}
+}
+
+// cellPooled runs one short cell per operation through sim.RunPooled,
+// the path a sweep cell takes: a machine from the pool, reset, run.
+func cellPooled(b *testing.B, cfg sim.Config, p *trace.Packed) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cur := p.Cursor()
+		res, err := sim.RunPooled(context.Background(), cfg, []trace.Source{&cur}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Instructions() != int64(p.Len()) {
+			b.Fatalf("retired %d of %d instructions", res.Instructions(), p.Len())
+		}
 	}
 }
 

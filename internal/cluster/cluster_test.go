@@ -218,13 +218,24 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 
 // TestBackendDeathMidSweep kills one backend while its cells are in
 // flight: the sweep must complete anyway, with rerouted recomputation
-// producing the exact reference bytes.
+// producing the exact reference bytes. The killed backend is the one
+// with the most attempts in flight at the trigger, and the kill must
+// show up as a rerouted dispatch, so the test cannot pass without
+// exercising failover.
 func TestBackendDeathMidSweep(t *testing.T) {
+	// Under -race a simulation runs several times slower; 300k-
+	// instruction cells then outlast the 10 s CellTimeout on a loaded
+	// 2-CPU host. 60k keeps each race-build cell well inside it while
+	// still outliving the event-stream round trip to the kill.
+	instr := 300_000
+	if raceEnabled {
+		instr = 60_000
+	}
 	grid := server.SweepRequest{
 		Configs:      []string{"z15"},
 		Workloads:    []string{"loops", "micro", "lspr"},
 		Seeds:        []uint64{1, 2, 3, 4},
-		Instructions: 300_000,
+		Instructions: instr,
 	}
 	want := singleBoxSweep(t, grid)
 
@@ -243,7 +254,7 @@ func TestBackendDeathMidSweep(t *testing.T) {
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	cells, killed := 0, false
+	cells, killed, victim := 0, false, ""
 	for sc.Scan() {
 		var ev struct {
 			Type string `json:"type"`
@@ -255,7 +266,9 @@ func TestBackendDeathMidSweep(t *testing.T) {
 			cells++
 			if cells == 2 && !killed {
 				killed = true
-				f.kill(0)
+				var i int
+				i, victim = busiest(f)
+				f.kill(i)
 			}
 		}
 	}
@@ -273,6 +286,28 @@ func TestBackendDeathMidSweep(t *testing.T) {
 	if st.Progress.CellsDone != st.Progress.CellsTotal {
 		t.Errorf("finished %d/%d cells", st.Progress.CellsDone, st.Progress.CellsTotal)
 	}
+	// A failed attempt is rerouted while its cell is unresolved, and
+	// nothing else fails here (no saturation; a losing hedge is
+	// canceled, not retried), so a zero means the kill hit no work.
+	if f.coord.retries.Load() == 0 {
+		t.Errorf("no dispatch was rerouted: killing %s interrupted no in-flight work", victim)
+	}
+}
+
+// busiest returns the index and URL of the fleet backend with the most
+// dispatch attempts in flight.
+func busiest(f *fleet) (int, string) {
+	inflight := make(map[string]int64)
+	for _, b := range f.coord.Backends() {
+		inflight[b.URL] = b.Inflight
+	}
+	best := 0
+	for i, b := range f.backends {
+		if inflight[b.URL] > inflight[f.backends[best].URL] {
+			best = i
+		}
+	}
+	return best, f.backends[best].URL
 }
 
 // TestSyncSurface exercises the pass-through sync endpoints and the

@@ -875,3 +875,18 @@ func (c *Core) BTB2Lookup(addr zarch.Addr) (btb.Info, bool) {
 	}
 	return c.btb2.Lookup(addr)
 }
+
+// ScribbleStale fills every BTB1, BTB2 and BTBP slot that holds no
+// valid entry with garbage derived from seed (btb.Table.Scribble). It
+// is a test aid: a machine scribbled right after Reset must run
+// exactly as a fresh one, which pins that no read of a BTB payload
+// skips its valid check.
+func (c *Core) ScribbleStale(seed uint64) {
+	c.btb1.Scribble(seed)
+	if c.btb2 != nil {
+		c.btb2.Scribble(seed + 1)
+	}
+	if c.btbp != nil {
+		c.btbp.Scribble(seed + 2)
+	}
+}

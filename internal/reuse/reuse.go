@@ -15,3 +15,15 @@ func Slice[T any](s []T, n int) []T {
 	clear(s)
 	return s
 }
+
+// Stale returns s resized to n elements like Slice, but does not zero
+// the elements it reuses: they keep whatever an earlier use left in
+// them. Only storage that is written before it is read may use it,
+// i.e. a column whose every read is guarded by a separately cleared
+// one (a BTB's payload columns behind its valid bits).
+func Stale[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

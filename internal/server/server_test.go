@@ -440,11 +440,12 @@ func TestMetricsEndpointParseable(t *testing.T) {
 	}
 }
 
-// TestFastCoreRunsCounter checks that hook-free simulate and sweep
-// traffic executes on the specialized fast core and is counted: the
-// service attaches no EventSink, so every completed run must land on
-// the fast loop. A zero here means a code change silently knocked the
-// service hot path onto the instrumented core.
+// TestFastCoreRunsCounter checks that every completed simulate and
+// sweep run is counted: zbpd_fast_core_runs_total (the name is kept
+// for the benchmark and smoke scripts that read it) counts each
+// simulation the service finishes, so 1 simulate + 2 sweep cells must
+// read 3. A different count means a code path stopped counting its
+// runs or counted one twice.
 func TestFastCoreRunsCounter(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	if resp, body := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Workload: "loops", Instructions: 5_000}); resp.StatusCode != http.StatusOK {

@@ -130,3 +130,55 @@ func TestRunPooledPanicPropagates(t *testing.T) {
 		t.Error("pooled run after a panicked one differs from a fresh machine")
 	}
 }
+
+// resetScribbled is Reset followed by garbage in every BTB slot the
+// reset left stale (core.ScribbleStale): the payload columns of the
+// BTB1 and BTB2 and every invalid BTBP slot.
+func (s *Sim) resetScribbled(cfg Config, srcs []trace.Source, seed uint64) {
+	s.Reset(cfg, srcs)
+	s.core.ScribbleStale(seed)
+}
+
+// TestScribbledReuseMatchesFresh: a reset clears only the BTBs' valid
+// columns, so every read of a payload column must sit behind a valid
+// check. A reused machine whose stale BTB slots are overwritten with
+// garbage right after each reset must still run every generation x
+// sweep-short workload cell byte-identically to sim.New.
+func TestScribbledReuseMatchesFresh(t *testing.T) {
+	workloads := []string{"lspr-small", "micro", "loops", "callret"}
+	packs := make([]*trace.Packed, len(workloads))
+	for i, name := range workloads {
+		p, err := workload.MakePacked(name, uint64(i+1), 5000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packs[i] = p
+	}
+	src := func(p *trace.Packed) []trace.Source {
+		cur := p.Cursor()
+		return []trace.Source{&cur}
+	}
+	m := New(Z15(), src(packs[0]))
+	if _, err := m.RunCtx(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(0x5c1b)
+	for _, gen := range core.Generations() {
+		cfg := ForGeneration(gen)
+		for i, p := range packs {
+			want, err := New(cfg, src(p)).RunCtx(context.Background(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed++
+			m.resetScribbled(cfg, src(p), seed)
+			got, err := m.RunCtx(context.Background(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if statsJSON(t, got) != statsJSON(t, want) {
+				t.Errorf("%s/%s: scribbled reused machine differs from a fresh one", gen.Name, workloads[i])
+			}
+		}
+	}
+}
