@@ -56,6 +56,7 @@ fuzz:
 	go test ./internal/trace -run '^$$' -fuzz '^FuzzIngest$$' -fuzztime 30s
 	go test ./internal/equiv -run '^$$' -fuzz '^FuzzEquivCell$$' -fuzztime 30s
 	go test ./internal/server -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 30s
+	go test ./internal/server -run '^$$' -fuzz '^FuzzHeadline$$' -fuzztime 30s
 	go test ./internal/btb -run '^$$' -fuzz '^FuzzPreloadOps$$' -fuzztime 30s
 
 # The benchmark harness is its own Go module, so `go build ./...` at the

@@ -2,9 +2,9 @@
 // numbers — packed-replay ns/instr, the Source-interface dispatch tax,
 // streaming generation cost, full-simulation ns/instr per machine
 // generation, the reset of a warm machine and one short pooled cell
-// per generation, and coordinator sweep throughput over 1/2/4
-// backends —
-// and writes them as one schema-versioned JSON document.
+// per generation, the row decode and the warm /v1/cell reply, and
+// coordinator sweep throughput over 1/2/4 backends — and writes them
+// as one schema-versioned JSON document.
 //
 // The intended workflow is a trajectory: each performance PR runs
 // `make bench-json` and commits the resulting BENCH_<pr>.json next to
@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -37,6 +38,7 @@ import (
 	"zbp/internal/cluster"
 	"zbp/internal/core"
 	"zbp/internal/metrics"
+	"zbp/internal/rcache"
 	"zbp/internal/server"
 	"zbp/internal/sim"
 	"zbp/internal/trace"
@@ -166,6 +168,23 @@ func measure(scale int, seed uint64, wl, only string) ([]benchEntry, error) {
 			fmt.Sprintf("one %d-instruction sim.RunPooled cell, machine reset included (a sweep-short cell)", cellInstr),
 			func(b *testing.B) { cellPooled(b, cfg, cell) }})
 	}
+
+	row := rowCell(seed)
+	stats, err := rowStats(row)
+	if err != nil {
+		return nil, err
+	}
+	benches = append(benches,
+		bench{"row/narrow", 0,
+			"server.Headline of one canonical z15/loops 10k-instruction payload: the decode behind every sweep row",
+			func(b *testing.B) { rowDecode(b, row, stats, server.Headline) }},
+		bench{"row/summarize", 0,
+			"server.Summarize (the full snapshot decode, the reference) of the same payload",
+			func(b *testing.B) { rowDecode(b, row, stats, summarize) }},
+		bench{"cell/reply", 0,
+			"one warm POST /v1/cell of that cell through the zbpd handler into an httptest recorder: request decode, cache hit, 200 reply",
+			func(b *testing.B) { cellReply(b, row) }},
+	)
 
 	var entries []benchEntry
 	for _, bm := range benches {
@@ -476,7 +495,7 @@ func mockBackends(n int, service time.Duration, stats json.RawMessage) ([]string
 }
 
 // fabricStats builds the minimal stats document the coordinator's
-// Summarize consumes. The fabric benchmark measures dispatch, not
+// Headline consumes. The fabric benchmark measures dispatch, not
 // payload parsing, so the blob carries exactly the summarized metrics.
 func fabricStats() (json.RawMessage, error) {
 	return json.Marshal(metrics.Snapshot{
@@ -571,6 +590,81 @@ func replayStreaming(b *testing.B, wl string, seed uint64, n int) {
 	}
 	if sum == 0 {
 		b.Fatal("replay checksum is zero")
+	}
+}
+
+// rowCell is the cell of the row/* and cell/reply entries, a
+// warm-repeat benchmark cell.
+func rowCell(seed uint64) rcache.CellSpec {
+	return rcache.CellSpec{Config: "z15", Workload: "loops", Seed: seed, Instructions: 10_000}
+}
+
+// rowStats computes the canonical stats payload of one cell.
+func rowStats(c rcache.CellSpec) ([]byte, error) {
+	p, err := workload.MakePacked(c.Workload, c.Seed, c.Instructions)
+	if err != nil {
+		return nil, err
+	}
+	cur := p.Cursor()
+	res, err := sim.RunPooled(context.Background(), sim.Z15(), []trace.Source{&cur}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return res.StatsJSON()
+}
+
+func summarize(c rcache.CellSpec, stats []byte) (server.CellSummary, error) {
+	_, sum, err := server.Summarize(c, stats)
+	return sum, err
+}
+
+// rowDecode times one decode of a payload into its row's numbers.
+func rowDecode(b *testing.B, c rcache.CellSpec, stats []byte, decode func(rcache.CellSpec, []byte) (server.CellSummary, error)) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sum, err := decode(c, stats)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum.Instructions != int64(c.Instructions) {
+			b.Fatalf("decoded %d instructions, want %d", sum.Instructions, c.Instructions)
+		}
+	}
+}
+
+// cellReply serves one /v1/cell request per operation from a warm
+// result cache, in process: the handler's whole path without a socket.
+func cellReply(b *testing.B, c rcache.CellSpec) {
+	s, err := server.New(server.Config{Workers: 1, AuditEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	seed := c.Seed
+	body, err := json.Marshal(server.CellRequest{SimulateRequest: server.SimulateRequest{
+		Config: c.Config, Workload: c.Workload, Seed: &seed, Instructions: c.Instructions,
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/cell", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		return w
+	}
+	serve() // fills the cache
+	hits := s.Cache().Hits()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.StopTimer()
+	if got := s.Cache().Hits() - hits; got != int64(b.N) {
+		b.Fatalf("%d cache hits in %d replies", got, b.N)
 	}
 }
 

@@ -23,20 +23,28 @@ type fleet struct {
 	coord    *Coordinator
 	url      string
 	backends []*httptest.Server
+	servers  []*server.Server
 	kills    []*sync.Once
 }
 
 func newFleet(t *testing.T, n int, mut func(*Config)) *fleet {
+	return newFleetOn(t, make([]string, n), mut)
+}
+
+// newFleetOn starts one backend per entry of cacheDirs, each with a
+// disk cache in that directory ("" for memory only).
+func newFleetOn(t *testing.T, cacheDirs []string, mut func(*Config)) *fleet {
 	t.Helper()
 	f := &fleet{}
-	urls := make([]string, n)
-	for i := range n {
-		s, err := server.New(server.Config{Workers: 2, QueueDepth: 64, AuditEvery: -1})
+	urls := make([]string, len(cacheDirs))
+	for i, dir := range cacheDirs {
+		s, err := server.New(server.Config{Workers: 2, QueueDepth: 64, AuditEvery: -1, CacheDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(s.Handler())
 		f.backends = append(f.backends, ts)
+		f.servers = append(f.servers, s)
 		urls[i] = ts.URL
 		once := &sync.Once{}
 		f.kills = append(f.kills, once)

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"strconv"
 
 	"zbp/internal/rcache"
 )
@@ -24,6 +26,20 @@ import (
 //     equiv auditor re-derives), so any replica — or a hedged
 //     duplicate — returns byte-identical content and the coordinator
 //     needs no reconciliation logic.
+//   - The 200 reply is framed by hand around the stored bytes, which
+//     go out verbatim: no compaction or indent pass, so a warm cell
+//     costs a cache lookup and a copy. The coordinator decodes the
+//     CellResponse envelope under its byte bound, and that decode is
+//     the check on bytes from outside its process: a disk entry that
+//     is not one JSON value fails it and the cell is rerouted. (An
+//     entry crafted to close the envelope early is no new hole: whoever
+//     can write one can write wrong but valid stats, which only the
+//     audit catches.) The coordinator caches the stats it decoded, so
+//     its entries are the canonical bytes less their trailing newline
+//     (~4.1 KB for a 10k-instruction z15 cell), and its byte-bounded
+//     cache counts entries of that size.
+//   - The coordinator's rows come from Headline, a narrow decode of
+//     the same bytes that reads six numbers.
 
 // CellRequest is the POST /v1/cell body: a simulate request plus the
 // cache-bypass knob jobs already expose.
@@ -34,7 +50,8 @@ type CellRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// CellResponse is the POST /v1/cell reply.
+// CellResponse is the POST /v1/cell reply. The handler writes it with
+// writeCellReply; clients decode it as this struct.
 type CellResponse struct {
 	// Cached reports that no simulation ran for this request.
 	Cached bool `json:"cached"`
@@ -79,5 +96,20 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		return CellOutcome{Stats: b}, cerr
 	}
 	out, err := s.resolveCell(ctx, cell, req.NoCache, compute)
-	s.reply(w, CellResponse{Cached: out.Cached, Stats: out.Stats}, err)
+	if err != nil {
+		s.replyError(w, err)
+		return
+	}
+	s.Completed.Add(1)
+	writeCellReply(w, out.Cached, out.Stats)
+}
+
+// writeCellReply answers 200 with a CellResponse whose stats are the
+// given bytes as they are: {"cached":<bool>,"stats":<stats>}.
+func writeCellReply(w http.ResponseWriter, cached bool, stats []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = io.WriteString(w, `{"cached":`+strconv.FormatBool(cached)+`,"stats":`)
+	_, _ = w.Write(stats)
+	_, _ = io.WriteString(w, "}\n")
 }

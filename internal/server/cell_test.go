@@ -57,8 +57,8 @@ func TestCellEndpoint(t *testing.T) {
 		t.Error("cache hit counter did not move")
 	}
 
-	// The response payload is the cache's canonical entry (the HTTP
-	// layer re-indents, so compare compacted forms).
+	// The response carries the cache's canonical entry byte for byte,
+	// less the trailing newline a json.RawMessage never keeps.
 	key := rcache.NewKey(rcache.CellSpec{
 		Config: "z15", Workload: "loops", Seed: 42, Instructions: 20_000,
 	})
@@ -66,18 +66,9 @@ func TestCellEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("canonical key missing from the cache")
 	}
-	if compact(t, v) != compact(t, first.Stats) {
+	if !bytes.Equal(first.Stats, bytes.TrimSuffix(v, []byte("\n"))) {
 		t.Error("cell response bytes are not the cache's canonical entry")
 	}
-}
-
-func compact(t *testing.T, b []byte) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
 }
 
 func TestCellValidation(t *testing.T) {

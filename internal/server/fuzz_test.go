@@ -13,7 +13,7 @@ import (
 
 // requestKinds are the bodies FuzzRequest plans, by the fuzzer's kind
 // byte.
-var requestKinds = []string{"simulate", "sweep", "job", "diff"}
+var requestKinds = []string{"simulate", "sweep", "job", "diff", "cell"}
 
 // planBody runs the front's decode → normalize → plan step on one body
 // of the given kind, exactly as the handlers do before a request costs
@@ -34,6 +34,9 @@ func planBody(f *Front, kind string, body []byte) (int, any) {
 	case "diff":
 		var q DiffRequest
 		req, normalize = &q, func() error { _, _, err := f.normalizeDiff(&q); return err }
+	case "cell":
+		var q CellRequest
+		req, normalize = &q, func() error { _, err := f.normalizeSimulate(&q.SimulateRequest); return err }
 	default:
 		var q JobRequest
 		req, normalize = &q, func() error { _, err := f.planJob(&q); return err }
@@ -77,13 +80,15 @@ func (fleetRules) Audit(context.Context, rcache.CellSpec, []byte) ([]string, err
 	panic("planning audited a cell")
 }
 
-// FuzzRequest throws arbitrary simulate, sweep, job and diff bodies at
-// the shared decode → normalize → plan step, once over the local
-// executor (a real Server confined to a trace dir) and once over the
-// coordinator's rules (path-backed names pass through, grids up to
-// 16384 cells). It requires that the step never panics, that a body it
-// refuses is answered 400 or 413 — never a 5xx — and that a normalized
-// request normalizes to the same bytes again. No simulation runs.
+// FuzzRequest throws arbitrary simulate, sweep, job, diff and /v1/cell
+// bodies at the shared decode → normalize → plan step, once over the
+// local executor (a real Server confined to a trace dir) and once over
+// the coordinator's rules (path-backed names pass through, grids up to
+// 16384 cells; the coordinator serves no /v1/cell, so there the cell
+// kind checks only the shared simulate rules). It requires that the
+// step never panics, that a body it refuses is answered 400 or 413 —
+// never a 5xx — and that a normalized request normalizes to the same
+// bytes again. No simulation runs.
 func FuzzRequest(f *testing.F) {
 	for _, seed := range []struct {
 		kind uint8
@@ -103,6 +108,10 @@ func FuzzRequest(f *testing.F) {
 		{3, `{"workloads":["loops"],"checks":["run-vs-runctx"],"perturb":true}`},
 		{3, `{"configs":["z99"],"workloads":["loops"]}`},
 		{3, `not json`},
+		{4, `{"workload":"loops","instructions":5000,"no_cache":true}`},
+		{4, `{"config":"zEC12","workload":"callret","seed":0,"timeout_ms":1}`},
+		{4, `{"workload":"loops","no_cache":"yes"}`},
+		{4, `{"workload":"loops","cached":true}`},
 	} {
 		f.Add(seed.kind, []byte(seed.body))
 	}

@@ -385,7 +385,11 @@ func (f *Front) SimulateCell(ctx context.Context, req SimulateRequest, seed uint
 	if err != nil {
 		return SimulateResponse{}, CellEvent{}, err
 	}
-	snap, sum, err := Summarize(cell, out.Stats)
+	sum, err := Headline(cell, out.Stats)
+	var snap *metrics.Snapshot
+	if err == nil && req.FullStats {
+		snap, _, err = Summarize(cell, out.Stats)
+	}
 	if err != nil {
 		return SimulateResponse{}, CellEvent{}, err
 	}
@@ -402,9 +406,7 @@ func (f *Front) SimulateCell(ctx context.Context, req SimulateRequest, seed uint
 		IPC:          sum.IPC,
 		Accuracy:     sum.Accuracy,
 	}
-	if req.FullStats {
-		resp.Stats = snap
-	}
+	resp.Stats = snap
 	return resp, cellEvent(0, 1, cell, out, sum), nil
 }
 
@@ -434,7 +436,7 @@ func cellEvent(i, total int, cell rcache.CellSpec, out CellOutcome, sum CellSumm
 // per-backend slots. onEvent (optional) fires once per finished cell,
 // in completion order, with Done monotonically increasing.
 //
-// Rows derive from canonical stats through Summarize and are placed by
+// Rows derive from canonical stats through Headline and are placed by
 // grid position, not completion order, so a fleet sweep marshals
 // byte-identically to a single-box one.
 func (f *Front) SweepCells(ctx context.Context, req SweepRequest, noCache bool, compute CellFunc, onEvent func(CellEvent)) (SweepResponse, error) {
@@ -494,7 +496,7 @@ func (f *Front) sweepCell(ctx context.Context, i, total int, cell rcache.CellSpe
 	out, err := f.resolveCell(ctx, cell, noCache, compute)
 	var sum CellSummary
 	if err == nil {
-		_, sum, err = Summarize(cell, out.Stats)
+		sum, err = Headline(cell, out.Stats)
 	}
 	if err != nil {
 		row.Error = err.Error()
@@ -525,7 +527,9 @@ type CellSummary struct {
 }
 
 // Summarize decodes a canonical stats payload into its snapshot and
-// headline numbers.
+// headline numbers. It is the full decode: the service runs it only
+// for a full_stats simulate reply and takes rows from Headline, which
+// it is the reference for.
 func Summarize(cell rcache.CellSpec, stats []byte) (*metrics.Snapshot, CellSummary, error) {
 	var snap metrics.Snapshot
 	if err := json.Unmarshal(stats, &snap); err != nil {

@@ -83,9 +83,9 @@ done
 curl -sf -X POST "http://$ADDR/v1/cell" \
     -d "{\"workload\":\"file:ingested.zbpt\",\"config\":\"z15\",\"instructions\":$N}" \
     >"$WORK/served.json"
-# The cell response embeds the canonical stats payload (re-indented by
-# the response encoder); strip whitespace on both sides and require the
-# served response to contain the local snapshot's exact content.
+# The cell response embeds the canonical stats payload verbatim; strip
+# whitespace on both sides and require the served response to contain
+# the local snapshot's exact content.
 LOCAL_COMPACT=$(tr -d ' \n\t' <"$WORK/local.json")
 SERVED_COMPACT=$(tr -d ' \n\t' <"$WORK/served.json")
 case "$SERVED_COMPACT" in
